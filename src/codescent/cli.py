@@ -13,7 +13,8 @@ Machine output goes to stdout (or ``--out``); progress and human
 narration go to stderr.  Exit codes: 0 success / certified global
 minimum, 1 failed verification or a negative certificate, 2 unbounded
 below, 3 iteration limit, 4 input error, 5 stalled at a non-global
-inf-stationary point (MCD with finite ``mu``).
+inf-stationary point (MCD with finite ``mu``), 6 a numerical solver
+failed (``NoConvergence``, ``Degenerate`` or ``ArmijoFailure``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import time
 import numpy as np
 
 from .convex import ConvexPAView
-from .errors import GenerationFailure
+from .errors import ArmijoFailure, Degenerate, GenerationFailure, NoConvergence
 from .mgcd import check_global_opt, line_search_pa, mcd_run, mgcd_run, project_piece
 from .mhd import MHDConfig, mhd_run
 from .oracle import pa_global_min
@@ -42,6 +43,7 @@ EXIT_UNBOUNDED = 2
 EXIT_ITER_LIMIT = 3
 EXIT_INPUT = 4
 EXIT_STALLED = 5
+EXIT_SOLVER = 6
 
 _STATUS_EXIT = {
     "global_min": EXIT_OK,
@@ -373,6 +375,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         _progress(f"error: {exc}")
         return EXIT_INPUT
+    except (NoConvergence, Degenerate, ArmijoFailure) as exc:
+        _progress(f"error: {type(exc).__name__}: {exc}")
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -5,8 +5,12 @@ shifted hypodifferential ``H(x) + z_j(x)`` whose minimum-norm element
 ``(a_j(x), v_j(x))`` encodes everything the method needs:
 
 * ``a_j >= 0``            — the piece can never certify descent again
-  anywhere below the current level set, so it is discarded for good;
-* ``a_j = 0, v_j != 0``   — ``f`` is unbounded below along ``-v_j``;
+  anywhere below the current level set, so it is discarded for good,
+  unless ``v_j != 0`` and the piece's gradient hull ``conv{v_i + w_j}``,
+  which does not depend on ``x``, misses the origin: then ``f`` is
+  unbounded below along its negated minimum-norm point (``_piece_ray``);
+* ``a_j = 0, v_j != 0``   — a case of the above; ``f`` is also unbounded
+  below along ``-v_j``;
 * ``a_j < 0``             — the step ``x + v_j / a_j`` decreases ``f``
   by at least ``|a_j| + ||v_j||^2 / |a_j|``.
 
@@ -152,13 +156,32 @@ def project_piece(f: DCForm, x, j: int, tol: float = 1e-10) -> np.ndarray:
     return point
 
 
+def _projections(gc: GlobalCodiff) -> np.ndarray:
+    """Minimum-norm elements of ``H(x) + z_j(x)`` for every ``j``, one per row."""
+    return np.array([min_norm_point(gc.hypo + z)[0] for z in gc.hyper])
+
+
 def _certificate(f: DCForm, gc: GlobalCodiff, tol: float) -> Certificate:
-    s = gc.hyper.shape[0]
-    a_values = np.empty(s)
-    for j in range(s):
-        point, _ = min_norm_point(gc.hypo + gc.hyper[j])
-        a_values[j] = point[0]
-    return Certificate(point=gc.at, a_values=a_values, tol=tol)
+    return Certificate(point=gc.at, a_values=_projections(gc)[:, 0], tol=tol)
+
+
+def _piece_ray(f: DCForm, j: int, thresh: float) -> np.ndarray | None:
+    """Unit ray along which ``f`` is unbounded below, found from piece ``j``.
+
+    ``f <= max_i (a_i + b_j + <v_i + w_j, x>)``, and the gradient hull
+    ``conv{v_i + w_j}`` does not depend on ``x``.  If its minimum-norm
+    point ``u`` has norm above ``thresh`` and ``<g, u> > 0`` at every
+    vertex ``g``, then ``f(-t u)`` decreases at least linearly in ``t``.
+    Returns ``-u / ||u||`` then, otherwise None.  The gradient part
+    ``v_j`` of a projection lies in the hull, so ``||u|| <= ||v_j||``
+    and callers skip pieces with ``||v_j|| <= thresh``.
+    """
+    G = f.plus[:, 1:] + f.minus[j, 1:]
+    u, _ = min_norm_point(G)
+    norm = float(np.linalg.norm(u))
+    if norm > thresh and float(np.min(G @ u)) > 0.0:
+        return -u / norm
+    return None
 
 
 def check_global_opt(f: DCForm, x, tol: float = 1e-9) -> tuple[bool, Certificate]:
@@ -264,11 +287,11 @@ def mgcd_run(
     """Minimize a piecewise-affine function globally, without line search.
 
     Per iteration, every still-active min-part index is projected;
-    indices with ``a_j >= -tol`` are discarded permanently, a vanishing
-    offset with a nonzero gradient certifies unboundedness, and
-    otherwise the step ``x + v_j / a_j`` of the best remaining index is
-    taken (ties to the lowest index).  Termination with an empty active
-    set certifies a global minimum.
+    indices with ``a_j >= -tol`` are discarded permanently unless
+    ``||v_j|| > sqrt(tol)`` and ``_piece_ray`` finds a ray of
+    unboundedness, and otherwise the step ``x + v_j / a_j`` of the best
+    remaining index is taken (ties to the lowest index).  Termination
+    with an empty active set certifies a global minimum.
 
     ``verify_discards`` re-projects every previously discarded index at
     every later iterate and logs offsets below ``-10 * tol`` in
@@ -294,11 +317,12 @@ def mgcd_run(
             point, _ = min_norm_point(gc.hypo + gc.hyper[j])
             rec.projections[j] = point
             aj, vj = float(point[0]), point[1:]
-            if abs(aj) <= tol and np.linalg.norm(vj) > sqrt_tol:
-                run.status = "unbounded_below"
-                run.ray = -vj / np.linalg.norm(vj)
-                return run
             if aj >= -tol:
+                ray = _piece_ray(f, j, sqrt_tol) if np.linalg.norm(vj) > sqrt_tol else None
+                if ray is not None:
+                    run.status = "unbounded_below"
+                    run.ray = ray
+                    return run
                 active.remove(j)
                 run.discard_log.append((n, j))
                 rec.discarded.append(j)
@@ -327,6 +351,28 @@ def mgcd_run(
     return run
 
 
+def _mcd_stop(f: DCForm, run: GlobalRun, x: np.ndarray, points: np.ndarray, tol: float) -> GlobalRun:
+    """End an MCD run at a point without descent, given the projections
+    of every piece there (one per row of ``points``).
+
+    The point is a global minimum unless some piece's gradient hull gives
+    a ray of unboundedness, and inf-stationary if some piece certifies a
+    descent that no line search found.
+    """
+    cert = Certificate(point=x, a_values=points[:, 0], tol=tol)
+    if cert.is_global:
+        sqrt_tol = math.sqrt(tol)
+        for j, point in enumerate(points):
+            ray = _piece_ray(f, j, sqrt_tol) if np.linalg.norm(point[1:]) > sqrt_tol else None
+            if ray is not None:
+                run.status = "unbounded_below"
+                run.ray = ray
+                return run
+    run.status = "global_min" if cert.is_global else "inf_stationary"
+    run.certificate = cert
+    return run
+
+
 def mcd_run(
     f: DCForm,
     x0,
@@ -341,8 +387,10 @@ def mcd_run(
     global convergence).  Every candidate direction ``-v_j`` is line
     searched exactly and the best endpoint is taken; the run stops when
     no candidate yields descent.  With ``mu = inf`` the stall point is a
-    certified global minimum; with a finite ``mu`` it may be merely
-    inf-stationary, and the attached certificate distinguishes the two.
+    certified global minimum, unless a piece's gradient hull misses the
+    origin and so shows ``f`` unbounded below; with a finite ``mu`` it
+    may be merely inf-stationary, and the attached certificate
+    distinguishes the two.
 
     Each record's ``step_trial_value`` is the best explicit-step value
     ``min_j f(x + v_j / a_j)`` over descent candidates, so traces can
@@ -378,13 +426,7 @@ def mcd_run(
                 evaluate(f, x + p[1:] / p[0]) for p in descent.values()
             )
         if len(cand) == s and not descent:
-            run.status = "global_min"
-            run.certificate = Certificate(
-                point=x,
-                a_values=np.array([rec.projections[j][0] for j in range(s)]),
-                tol=tol,
-            )
-            return run
+            return _mcd_stop(f, run, x, np.array([rec.projections[j] for j in range(s)]), tol)
 
         best_j, best = -1, None
         for j in cand:
@@ -400,10 +442,7 @@ def mcd_run(
                 best_j, best = j, ls
 
         if best is None or best.value >= fx - tol:
-            cert = _certificate(f, gc, tol)
-            run.status = "global_min" if cert.is_global else "inf_stationary"
-            run.certificate = cert
-            return run
+            return _mcd_stop(f, run, x, _projections(gc), tol)
 
         rec.chosen_j = best_j
         rec.alpha = best.alpha

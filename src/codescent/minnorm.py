@@ -7,7 +7,8 @@ augmented vector ``(a, v)``, but the solver itself works for any ``k >= 1``.
 The solver is Wolfe's method: alternate a linear-minimization ("major")
 step that adds the most violating vertex to a working corral with
 "minor" steps that restore the current point to a positive convex
-combination of the corral.
+combination of the corral.  A corral's affine subproblem is solved by
+least squares on the differences of its vertices, not on their Gram matrix.
 """
 
 from __future__ import annotations
@@ -15,11 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonFinite, NoConvergence
-
-#: Relative singular-value cutoff for the corral least-squares solves.
-#: Minkowski sums upstream produce many affinely dependent vertices, so
-#: the corral systems are solved by least squares rather than by LU.
-SV_CUTOFF = 1e-12
 
 #: Weights at or below this threshold are dropped from the corral.
 WEIGHT_DROP = 1e-14
@@ -29,24 +25,13 @@ def _affine_min_norm(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Min-norm point of the affine hull of the rows of ``Q``.
 
     Solves min ||mu @ Q|| subject to sum(mu) = 1 with mu unrestricted in
-    sign, via the KKT system in least-squares form.  Returns the point
-    and the affine weights.
+    sign as min ||Q[0] + t @ (Q[1:] - Q[0])||, which does not square the
+    condition number as the Gram matrix ``Q Q^T`` would, and whose
+    ``mu = (1 - sum(t), t)`` sums to one by construction.  Returns the
+    point and the affine weights.
     """
-    c = Q.shape[0]
-    G = Q @ Q.T
-    A = np.zeros((c + 1, c + 1))
-    A[:c, :c] = G
-    A[:c, c] = 1.0
-    A[c, :c] = 1.0
-    rhs = np.zeros(c + 1)
-    rhs[c] = 1.0
-    sol = np.linalg.lstsq(A, rhs, rcond=SV_CUTOFF)[0]
-    mu = sol[:c]
-    # renormalize: lstsq solves the system only approximately when G is
-    # singular, and downstream logic relies on sum(mu) == 1 exactly.
-    s = mu.sum()
-    if abs(s) > 1e-8:
-        mu = mu / s
+    t = np.linalg.lstsq((Q[1:] - Q[0]).T, -Q[0], rcond=None)[0]
+    mu = np.concatenate(([1.0 - t.sum()], t))
     return mu @ Q, mu
 
 
@@ -63,8 +48,14 @@ def min_norm_point(
         Rows are the hull vertices.  Redundant (interior or duplicate)
         rows are tolerated.
     tol : float
-        Optimality tolerance: on return every vertex ``q`` satisfies
-        ``<p, q> >= ||p||^2 - tol``.
+        Optimality tolerance: stop once every vertex ``q`` satisfies
+        ``<p, q> >= ||p||^2 - max(tol, 64 * eps * max_q ||q||^2)``, where
+        the second term is the float resolution of the scores ``<p, q>``.
+        Also stop once a major cycle fails to strictly decrease
+        ``||p||^2``, returning the point before or after it, whichever has
+        the smaller gap ``||p||^2 - min_q <p, q>``.  In exact arithmetic
+        every major cycle decreases it, so no corral repeats and the
+        solver terminates.
     max_iter : int, optional
         Cap on major plus minor cycles; defaults to ``1000 * m``.
 
@@ -97,7 +88,9 @@ def min_norm_point(
         max_iter = 1000 * m
 
     # start from the smallest-norm vertex (first one on ties)
-    j0 = int(np.argmin(np.einsum("ij,ij->i", P, P)))
+    sq = np.einsum("ij,ij->i", P, P)
+    j0 = int(np.argmin(sq))
+    floor = max(tol, 64 * np.finfo(float).eps * float(sq.max()))
     corral = [j0]
     lam = np.array([1.0])
     x = P[j0].copy()
@@ -111,13 +104,10 @@ def min_norm_point(
         scores = P @ x
         j = int(np.argmin(scores))
         xx = float(x @ x)
-        if scores[j] >= xx - tol:
+        if scores[j] >= xx - floor:
             break
-        if j in corral:
-            # numerically stalled: the violating vertex is already in the
-            # corral, so no further progress is possible in float
-            break
-        corral.append(j)
+        before = corral, lam, x
+        corral = [*corral, j]
 
         # minor cycles: restore a positive convex combination
         lam = np.append(lam, 0.0)
@@ -148,6 +138,13 @@ def min_norm_point(
             lam = lam[keep]
             lam = lam / lam.sum()
             x = lam @ P[corral]
+
+        if float(x @ x) >= xx:
+            # float cannot order the two points by norm; keep the one with
+            # the smaller Wolfe gap, which bounds the squared distance to p*
+            if float(x @ x - np.min(P @ x)) >= xx - scores[j]:
+                corral, lam, x = before
+            break
 
     weights = np.zeros(m)
     for c, l in zip(corral, lam):

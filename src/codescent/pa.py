@@ -217,8 +217,9 @@ def translate(f: DCForm, gc: GlobalCodiff, y) -> GlobalCodiff:
     Each hypo row ``(a, v)`` maps to
     ``(a + max_part(x) - max_part(y) + <v, y - x>, v)`` and analogously
     for the hyper rows; the result equals ``global_codiff(f, y)``
-    row for row.  Cost is O(rows), which is why descent loops re-anchor
-    instead of rebuilding.
+    row for row.  It is not cheaper than rebuilding: it takes three
+    matrix-vector products per part (two part evaluations and the
+    offset update) where ``global_codiff`` takes one.
     """
     y = _check_point(f.d, y)
     x = gc.at

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from codescent import DCForm, evaluate, worked_example
+from codescent import ArmijoFailure, DCForm, Degenerate, NoConvergence, evaluate, worked_example
+from codescent import cli
 from codescent.cli import main
 
 UNBOUNDED = '{"d": 1, "plus": [{"a": 0, "v": [1]}], "minus": [{"b": 0, "w": [0]}]}'
@@ -129,3 +130,21 @@ def test_input_errors(tmp_path, capsys):
     prob = tmp_path / "p.json"
     prob.write_text(worked_example().to_json())
     assert run_cli(capsys, "solve", "--problem", str(prob), "--x0", "1,2,3")[0] == 4
+
+
+@pytest.mark.parametrize("exc", [NoConvergence, Degenerate, ArmijoFailure])
+def test_solver_failure_exit_code(example_file, capsys, monkeypatch, exc):
+    def failing(*args, **kwargs):
+        raise exc("solver gave up")
+
+    monkeypatch.setattr(cli, "mgcd_run", failing)
+    code = main(["solve", "--problem", example_file, "--x0", "2,2"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SOLVER == 6
+    assert err.strip().splitlines()[-1] == f"error: {exc.__name__}: solver gave up"
+
+
+def test_solve_large_scale_exits_cleanly(capsys):
+    code, out = run_cli(capsys, "solve", "--generate", "3,8,4,42", "--scale", "1e4", "--x0", "1,2,-1")
+    assert code == 0
+    assert json.loads(out)["final_f"] == pytest.approx(-4.2e4, rel=1e-9)

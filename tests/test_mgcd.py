@@ -174,6 +174,57 @@ def test_mgcd_unbounded_tilted_2d():
     assert vals[0] > vals[1] > vals[2]
 
 
+# f = min(0, 1 + x) is unbounded below along -1, yet at x0 = 0 the piece
+# 1 + x projects to (a_j, v_j) = (1, 1), which the discard test accepts
+MIN_ZERO_SHIFTED_LINE = DCForm(1, [[0, 0]], [[0, 0], [1, 1]])
+
+
+@pytest.mark.parametrize("method", [mgcd_run, mcd_run])
+def test_unbounded_despite_positive_offset(method):
+    run = method(MIN_ZERO_SHIFTED_LINE, [0.0])
+    assert run.status == "unbounded_below"
+    assert np.allclose(run.ray, [-1.0])
+    assert not pa_global_min(MIN_ZERO_SHIFTED_LINE).bounded
+
+
+@pytest.fixture(scope="module")
+def cycling_instance():
+    # both methods meet a corral here whose entering vertex a Gram-matrix
+    # solve weights at 0, on which Wolfe's method cycled
+    f = generate_pa(7, 10, 80, 20)
+    return f, pa_global_min(f).value
+
+
+@pytest.mark.parametrize("method", [mgcd_run, mcd_run])
+def test_cycling_hull_instance_reaches_global(method, cycling_instance):
+    f, fstar = cycling_instance
+    run = method(f, random_start(7, 10), max_iter=100_000)
+    assert run.status == "global_min"
+    assert run.final_f == pytest.approx(fstar, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        pytest.param(
+            -6,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="absolute tolerances certify a wrong minimum at tiny scale (ROADMAP item 2)",
+            ),
+        ),
+        *range(2, 7),
+    ],
+)
+@pytest.mark.parametrize("method", [mgcd_run, mcd_run])
+def test_scaled_instance_certified(method, k):
+    c = 10.0**k
+    f = generate_pa(42, 3, 8, 4, scale=c)
+    run = method(f, [1.0, 2.0, -1.0], max_iter=100_000)
+    assert run.status == "global_min"
+    assert run.final_f / c == pytest.approx(-4.2, abs=1e-6)
+
+
 def test_mgcd_strict_decay_inequality():
     for d, l, s, seed in instance_grid():
         f = generate_pa(seed, d, l, s)

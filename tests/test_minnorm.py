@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from codescent import (
     NonFinite,
@@ -67,6 +70,24 @@ def test_matches_closed_form_small_hulls(rng, m):
         point, _ = min_norm_point(P)
         expected = project_origin_small_hull(P)
         assert np.linalg.norm(point - expected) <= 1e-8
+
+
+hulls = st.tuples(st.integers(1, 12), st.integers(1, 6)).flatmap(
+    lambda shape: hnp.arrays(float, shape, elements=st.floats(-10, 10))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(P=hulls, e=st.floats(-6, 6))
+# float cannot tell the norms of vertex 0 and of (0, -5) apart
+@example(P=np.array([[6.17501698e-08, -5.0], [-5.0, -5.0]]), e=1.0)
+def test_scale_equivariance(P, e):
+    # the tolerance is in squared-norm units, so it scales with c**2
+    c = 10.0**e
+    point, _ = min_norm_point(P)
+    scaled, _ = min_norm_point(c * P, tol=1e-10 * c * c)
+    hull_scale = c * max(1.0, float(np.abs(P).max()))
+    assert np.linalg.norm(scaled - c * point) <= 1e-9 * hull_scale
 
 
 def test_deterministic_bitwise(rng):
