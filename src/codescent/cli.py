@@ -54,6 +54,9 @@ _STATUS_EXIT = {
 }
 
 
+_SOLVER_ERRORS = (NoConvergence, Degenerate, ArmijoFailure)
+
+
 class InputError(Exception):
     pass
 
@@ -214,11 +217,15 @@ def cmd_certify(args) -> int:
     if point.size != f.d:
         raise InputError(f"--point has {point.size} entries, problem dimension is {f.d}")
     is_global, cert = check_global_opt(f, point, tol=args.tol or 1e-9)
+    if cert.ray is not None:
+        verdict, code = "UNBOUNDED", EXIT_UNBOUNDED
+    else:
+        verdict, code = ("GLOBAL", EXIT_OK) if is_global else ("NOT GLOBAL", EXIT_FAIL)
     result = cert.to_dict()
-    result["verdict"] = "GLOBAL" if is_global else "NOT GLOBAL"
+    result["verdict"] = verdict
     result["f"] = float(evaluate(f, point))
     _emit(json.dumps(result, indent=2), args.out)
-    return EXIT_OK if is_global else EXIT_FAIL
+    return code
 
 
 def cmd_compare(args) -> int:
@@ -235,6 +242,9 @@ def cmd_compare(args) -> int:
             status, _, ff, n_steps, _, _ = _run_method(method, f, x0, args)
         except InputError as exc:
             writer.writerow([method, f"error: {exc}", "", "", "", ""])
+            continue
+        except _SOLVER_ERRORS as exc:
+            writer.writerow([method, f"error: {type(exc).__name__}: {exc}", "", "", "", ""])
             continue
         wall = time.perf_counter() - t0
         gap = abs(ff - lp.value) if lp.bounded else math.inf
@@ -375,7 +385,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         _progress(f"error: {exc}")
         return EXIT_INPUT
-    except (NoConvergence, Degenerate, ArmijoFailure) as exc:
+    except _SOLVER_ERRORS as exc:
         _progress(f"error: {type(exc).__name__}: {exc}")
         return EXIT_SOLVER
 

@@ -5,14 +5,15 @@ shifted hypodifferential ``H(x) + z_j(x)`` whose minimum-norm element
 ``(a_j(x), v_j(x))`` encodes everything the method needs:
 
 * ``a_j >= 0``            — the piece can never certify descent again
-  anywhere below the current level set, so it is discarded for good,
-  unless ``v_j != 0`` and the piece's gradient hull ``conv{v_i + w_j}``,
-  which does not depend on ``x``, misses the origin: then ``f`` is
-  unbounded below along its negated minimum-norm point (``_piece_ray``);
-* ``a_j = 0, v_j != 0``   — a case of the above; ``f`` is also unbounded
-  below along ``-v_j``;
+  anywhere below the current level set, so it is discarded for good;
 * ``a_j < 0``             — the step ``x + v_j / a_j`` decreases ``f``
   by at least ``|a_j| + ||v_j||^2 / |a_j|``.
+
+Both readings assume ``f`` bounded below.  ``f`` is unbounded below
+exactly when some piece's gradient hull ``conv{v_i + w_j}`` misses the
+origin; that hull does not depend on ``x``, so ``_unbounded_ray`` checks
+it once per run (and once per ``check_global_opt``) before any
+projection is read.
 
 ``mgcd_run`` iterates exactly this, maintaining the active index set;
 once every index is discarded the current point is a *global* minimum
@@ -43,16 +44,18 @@ class Certificate:
 
     ``a_values[j]`` is the offset of the minimum-norm element of
     ``H(x) + z_j(x)``; the point is a global minimum iff all of them
-    are at least ``-tol``.
+    are at least ``-tol`` and ``f`` is bounded below, i.e. no ``ray``
+    of unboundedness was found.
     """
 
     point: np.ndarray
     a_values: np.ndarray
     tol: float
+    ray: np.ndarray | None = None
 
     @property
     def is_global(self) -> bool:
-        return bool(np.min(self.a_values) >= -self.tol)
+        return self.ray is None and bool(np.min(self.a_values) >= -self.tol)
 
     def to_dict(self) -> dict:
         return {
@@ -60,6 +63,7 @@ class Certificate:
             "a_values": list(map(float, self.a_values)),
             "tol": self.tol,
             "is_global": self.is_global,
+            "ray": None if self.ray is None else list(map(float, self.ray)),
         }
 
 
@@ -161,36 +165,38 @@ def _projections(gc: GlobalCodiff) -> np.ndarray:
     return np.array([min_norm_point(gc.hypo + z)[0] for z in gc.hyper])
 
 
-def _certificate(f: DCForm, gc: GlobalCodiff, tol: float) -> Certificate:
-    return Certificate(point=gc.at, a_values=_projections(gc)[:, 0], tol=tol)
+def _certificate(gc: GlobalCodiff, tol: float, ray: np.ndarray | None = None) -> Certificate:
+    return Certificate(point=gc.at, a_values=_projections(gc)[:, 0], tol=tol, ray=ray)
 
 
-def _piece_ray(f: DCForm, j: int, thresh: float) -> np.ndarray | None:
-    """Unit ray along which ``f`` is unbounded below, found from piece ``j``.
+def _unbounded_ray(f: DCForm, tol: float) -> np.ndarray | None:
+    """Unit ray along which ``f`` is unbounded below, or None.
 
-    ``f <= max_i (a_i + b_j + <v_i + w_j, x>)``, and the gradient hull
-    ``conv{v_i + w_j}`` does not depend on ``x``.  If its minimum-norm
-    point ``u`` has norm above ``thresh`` and ``<g, u> > 0`` at every
-    vertex ``g``, then ``f(-t u)`` decreases at least linearly in ``t``.
-    Returns ``-u / ||u||`` then, otherwise None.  The gradient part
-    ``v_j`` of a projection lies in the hull, so ``||u|| <= ||v_j||``
-    and callers skip pieces with ``||v_j|| <= thresh``.
+    ``f = min_j max_i (a_i + b_j + <v_i + w_j, x>)`` is unbounded below
+    iff the gradient hull ``conv{v_i + w_j}`` of some piece ``j``, which
+    does not depend on ``x``, misses the origin.  If the hull's
+    minimum-norm point ``u`` has norm above ``sqrt(tol)`` and
+    ``<g, u> > 0`` at every vertex ``g``, then ``f(x - t u)`` decreases
+    at least linearly in ``t``; the first such piece gives ``-u / ||u||``.
     """
-    G = f.plus[:, 1:] + f.minus[j, 1:]
-    u, _ = min_norm_point(G)
-    norm = float(np.linalg.norm(u))
-    if norm > thresh and float(np.min(G @ u)) > 0.0:
-        return -u / norm
+    for j in range(f.minus.shape[0]):
+        G = f.plus[:, 1:] + f.minus[j, 1:]
+        u, _ = min_norm_point(G)
+        norm = float(np.linalg.norm(u))
+        if norm > math.sqrt(tol) and float(np.min(G @ u)) > 0.0:
+            return -u / norm
     return None
 
 
 def check_global_opt(f: DCForm, x, tol: float = 1e-9) -> tuple[bool, Certificate]:
-    """Global-minimality test at ``x`` (requires ``f`` bounded below).
+    """Global-minimality test at ``x``.
 
     Projects every shifted hypodifferential and accepts iff all offsets
-    ``a_j(x)`` are at least ``-tol``.
+    ``a_j(x)`` are at least ``-tol`` and ``f`` is bounded below; when it
+    is not, the certificate carries the ray along which ``f`` decreases
+    without bound.
     """
-    cert = _certificate(f, global_codiff(f, x), tol)
+    cert = _certificate(global_codiff(f, x), tol, _unbounded_ray(f, tol))
     return cert.is_global, cert
 
 
@@ -277,6 +283,16 @@ def _verify_discards(gc: GlobalCodiff, run: GlobalRun, n: int, tol: float) -> No
                 run.discard_violations.append((n, j, float(point[0])))
 
 
+def _start_run(method: str, f: DCForm, x: np.ndarray, tol: float) -> GlobalRun:
+    """A run at ``x``; already ended as ``unbounded_below`` when
+    ``_unbounded_ray`` finds a ray."""
+    run = GlobalRun(method=method, iterates=[x], ray=_unbounded_ray(f, tol))
+    if run.ray is not None:
+        run.status = "unbounded_below"
+        run.records.append(IterationRecord(n=0, x=x, f=evaluate(f, x)))
+    return run
+
+
 def mgcd_run(
     f: DCForm,
     x0,
@@ -286,12 +302,13 @@ def mgcd_run(
 ) -> GlobalRun:
     """Minimize a piecewise-affine function globally, without line search.
 
-    Per iteration, every still-active min-part index is projected;
-    indices with ``a_j >= -tol`` are discarded permanently unless
-    ``||v_j|| > sqrt(tol)`` and ``_piece_ray`` finds a ray of
-    unboundedness, and otherwise the step ``x + v_j / a_j`` of the best
-    remaining index is taken (ties to the lowest index).  Termination
-    with an empty active set certifies a global minimum.
+    A run on a function that ``_unbounded_ray`` shows unbounded below
+    returns that ray at once.  Otherwise, per iteration, every
+    still-active min-part index is projected; indices with
+    ``a_j >= -tol`` are discarded permanently, and the step
+    ``x + v_j / a_j`` of the best remaining index is taken (ties to the
+    lowest index).  Termination with an empty active set certifies a
+    global minimum.
 
     ``verify_discards`` re-projects every previously discarded index at
     every later iterate and logs offsets below ``-10 * tol`` in
@@ -300,8 +317,9 @@ def mgcd_run(
     x = np.array(x0, dtype=float, ndmin=1)
     if tol is None:
         tol = _default_tol(f, x)
-    sqrt_tol = math.sqrt(tol)
-    run = GlobalRun(method="mgcd", iterates=[x])
+    run = _start_run("mgcd", f, x, tol)
+    if run.ray is not None:
+        return run
     active = list(range(f.minus.shape[0]))
     gc = global_codiff(f, x)
 
@@ -316,13 +334,7 @@ def mgcd_run(
         for j in list(active):
             point, _ = min_norm_point(gc.hypo + gc.hyper[j])
             rec.projections[j] = point
-            aj, vj = float(point[0]), point[1:]
-            if aj >= -tol:
-                ray = _piece_ray(f, j, sqrt_tol) if np.linalg.norm(vj) > sqrt_tol else None
-                if ray is not None:
-                    run.status = "unbounded_below"
-                    run.ray = ray
-                    return run
+            if point[0] >= -tol:
                 active.remove(j)
                 run.discard_log.append((n, j))
                 rec.discarded.append(j)
@@ -331,7 +343,7 @@ def mgcd_run(
 
         if not active:
             run.status = "global_min"
-            run.certificate = _certificate(f, gc, tol)
+            run.certificate = _certificate(gc, tol)
             return run
 
         best_j, best_val, best_y = -1, math.inf, None
@@ -351,28 +363,6 @@ def mgcd_run(
     return run
 
 
-def _mcd_stop(f: DCForm, run: GlobalRun, x: np.ndarray, points: np.ndarray, tol: float) -> GlobalRun:
-    """End an MCD run at a point without descent, given the projections
-    of every piece there (one per row of ``points``).
-
-    The point is a global minimum unless some piece's gradient hull gives
-    a ray of unboundedness, and inf-stationary if some piece certifies a
-    descent that no line search found.
-    """
-    cert = Certificate(point=x, a_values=points[:, 0], tol=tol)
-    if cert.is_global:
-        sqrt_tol = math.sqrt(tol)
-        for j, point in enumerate(points):
-            ray = _piece_ray(f, j, sqrt_tol) if np.linalg.norm(point[1:]) > sqrt_tol else None
-            if ray is not None:
-                run.status = "unbounded_below"
-                run.ray = ray
-                return run
-    run.status = "global_min" if cert.is_global else "inf_stationary"
-    run.certificate = cert
-    return run
-
-
 def mcd_run(
     f: DCForm,
     x0,
@@ -387,10 +377,11 @@ def mcd_run(
     global convergence).  Every candidate direction ``-v_j`` is line
     searched exactly and the best endpoint is taken; the run stops when
     no candidate yields descent.  With ``mu = inf`` the stall point is a
-    certified global minimum, unless a piece's gradient hull misses the
-    origin and so shows ``f`` unbounded below; with a finite ``mu`` it
-    may be merely inf-stationary, and the attached certificate
-    distinguishes the two.
+    certified global minimum; with a finite ``mu`` it may be merely
+    inf-stationary, and the attached certificate distinguishes the two.
+    As in ``mgcd_run``, a function unbounded below is caught by
+    ``_unbounded_ray`` before the first step, and any other unbounded
+    direction by the line search.
 
     Each record's ``step_trial_value`` is the best explicit-step value
     ``min_j f(x + v_j / a_j)`` over descent candidates, so traces can
@@ -399,9 +390,10 @@ def mcd_run(
     x = np.array(x0, dtype=float, ndmin=1)
     if tol is None:
         tol = _default_tol(f, x)
-    sqrt_tol = math.sqrt(tol)
     s = f.minus.shape[0]
-    run = GlobalRun(method="mcd", iterates=[x])
+    run = _start_run("mcd", f, x, tol)
+    if run.ray is not None:
+        return run
     gc = global_codiff(f, x)
 
     for n in range(max_iter):
@@ -412,13 +404,7 @@ def mcd_run(
         run.records.append(rec)
         cand = [j for j in range(s) if gc.hyper[j, 0] <= mu + tol]
         for j in cand:
-            point, _ = min_norm_point(gc.hypo + gc.hyper[j])
-            rec.projections[j] = point
-            aj, vj = float(point[0]), point[1:]
-            if abs(aj) <= tol and np.linalg.norm(vj) > sqrt_tol:
-                run.status = "unbounded_below"
-                run.ray = -vj / np.linalg.norm(vj)
-                return run
+            rec.projections[j], _ = min_norm_point(gc.hypo + gc.hyper[j])
 
         descent = {j: rec.projections[j] for j in cand if rec.projections[j][0] < -tol}
         if descent:
@@ -426,7 +412,13 @@ def mcd_run(
                 evaluate(f, x + p[1:] / p[0]) for p in descent.values()
             )
         if len(cand) == s and not descent:
-            return _mcd_stop(f, run, x, np.array([rec.projections[j] for j in range(s)]), tol)
+            run.status = "global_min"
+            run.certificate = Certificate(
+                point=x,
+                a_values=np.array([rec.projections[j][0] for j in range(s)]),
+                tol=tol,
+            )
+            return run
 
         best_j, best = -1, None
         for j in cand:
@@ -442,7 +434,10 @@ def mcd_run(
                 best_j, best = j, ls
 
         if best is None or best.value >= fx - tol:
-            return _mcd_stop(f, run, x, _projections(gc), tol)
+            cert = _certificate(gc, tol)
+            run.status = "global_min" if cert.is_global else "inf_stationary"
+            run.certificate = cert
+            return run
 
         rec.chosen_j = best_j
         rec.alpha = best.alpha

@@ -8,6 +8,10 @@ from codescent import cli
 from codescent.cli import main
 
 UNBOUNDED = '{"d": 1, "plus": [{"a": 0, "v": [1]}], "minus": [{"b": 0, "w": [0]}]}'
+# f = min(0, 1 + x): unbounded below, though every offset at x = 0 is >= 0
+MIN_ZERO_SHIFTED_LINE = (
+    '{"d": 1, "plus": [{"a": 0, "v": [0]}], "minus": [{"b": 0, "w": [0]}, {"b": 1, "w": [1]}]}'
+)
 
 
 @pytest.fixture
@@ -98,6 +102,31 @@ def test_certify_global_and_not(example_file, capsys):
     code, out = run_cli(capsys, "certify", "--problem", example_file, "--point", "2,2")
     assert code == 1
     assert json.loads(out)["verdict"] == "NOT GLOBAL"
+
+
+def test_certify_unbounded(tmp_path, capsys):
+    prob = tmp_path / "u.json"
+    prob.write_text(MIN_ZERO_SHIFTED_LINE)
+    code, out = run_cli(capsys, "certify", "--problem", str(prob), "--point", "0")
+    assert code == cli.EXIT_UNBOUNDED
+    result = json.loads(out)
+    assert result["verdict"] == "UNBOUNDED"
+    assert result["is_global"] is False
+    assert np.allclose(result["ray"], [-1.0])
+
+
+def test_compare_solver_failure_row(example_file, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise NoConvergence("solver gave up")
+
+    monkeypatch.setattr(cli, "mcd_run", failing)
+    code, out = run_cli(
+        capsys, "compare", "--problem", example_file, "--methods", "mgcd,mcd", "--x0", "2,2"
+    )
+    assert code == 0
+    rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+    assert rows[0][:2] == ["mgcd", "global_min"]
+    assert rows[1][:2] == ["mcd", "error: NoConvergence: solver gave up"]
 
 
 def test_compare_emits_method_table(example_file, capsys):

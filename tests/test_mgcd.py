@@ -187,6 +187,13 @@ def test_unbounded_despite_positive_offset(method):
     assert not pa_global_min(MIN_ZERO_SHIFTED_LINE).bounded
 
 
+def test_check_global_opt_unbounded():
+    ok, cert = check_global_opt(MIN_ZERO_SHIFTED_LINE, [0.0])
+    assert not ok and not cert.is_global
+    assert min(cert.a_values) >= 0.0  # every offset alone would pass
+    assert np.allclose(cert.ray, [-1.0])
+
+
 @pytest.fixture(scope="module")
 def cycling_instance():
     # both methods meet a corral here whose entering vertex a Gram-matrix
