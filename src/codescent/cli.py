@@ -35,7 +35,7 @@ from .mgcd import check_global_opt, line_search_pa, mcd_run, mgcd_run, project_p
 from .mhd import MHDConfig, mhd_run
 from .oracle import pa_global_min
 from .pa import DCForm, evaluate, global_codiff
-from .problems import generate_pa, worked_example
+from .problems import WORKED_EXAMPLE_HYPER, WORKED_EXAMPLE_HYPO, generate_pa, worked_example
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -270,25 +270,15 @@ def cmd_reproduce_example(args) -> int:
         _progress(f"  [{'ok' if ok else 'FAIL'}] {name}")
 
     gc = global_codiff(f, x0)
-    hypo_expected = {
-        (0, 3, 0), (-4, 1, 0), (0, 2, 1), (-4, 2, -1),
-        (0, -1, 0), (-4, -3, 0), (0, -2, 1), (-4, -2, -1),
-        (0, 1, 1), (-4, -1, 1), (0, 0, 2), (-4, 0, 0),
-        (0, 1, -1), (-4, -1, -1), (0, 0, 0), (-4, 0, -2),
-    }
-    hyper_expected = {
-        (1, 2, 0), (1, -2, 0), (1, 0, 1), (1, 0, -1),
-        (0, -1, 0), (4, 1, 0), (0, 0, -1), (4, 0, 1),
-    }
     hypo_set = {tuple(int(round(c)) for c in row) for row in gc.hypo}
     hyper_set = {tuple(int(round(c)) for c in row) for row in gc.hyper}
     on_lattice = np.allclose(gc.hypo, np.round(gc.hypo), atol=1e-12) and np.allclose(
         gc.hyper, np.round(gc.hyper), atol=1e-12
     )
     check("hypodifferential at (2,2) is the known 16-vertex set",
-          hypo_set == hypo_expected and on_lattice)
+          hypo_set == WORKED_EXAMPLE_HYPO and on_lattice)
     check("hyperdifferential at (2,2) is the known 8-vertex set",
-          hyper_set == hyper_expected and on_lattice)
+          hyper_set == WORKED_EXAMPLE_HYPER and on_lattice)
 
     z1 = gc.hyper[0]
     check("z_1(2,2) = (1, 2, 0)", np.allclose(z1, [1.0, 2.0, 0.0], atol=1e-12))

@@ -22,8 +22,10 @@ variant: it keeps all indices with hyper offset at most ``mu`` and
 replaces the explicit step by an exact line search along each
 candidate direction, moving to the best outcome.
 
-Both runs re-anchor the codifferential with ``translate`` instead of
-rebuilding it, and both serialize to JSON.
+Both are one loop, ``_descend``, with two step rules.  It anchors each
+iterate with ``global_codiff``, every projection goes through
+``_project``, and the final certificate reuses the projections already
+made at the last iterate.  Both runs serialize to JSON.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .minnorm import min_norm_point
-from .pa import DCForm, GlobalCodiff, evaluate, global_codiff, translate
+from .pa import DCForm, GlobalCodiff, evaluate, global_codiff
 
 
 @dataclass(frozen=True)
@@ -103,11 +105,15 @@ class GlobalRun:
     method: str
     iterates: list[np.ndarray] = field(default_factory=list)
     records: list[IterationRecord] = field(default_factory=list)
-    discard_log: list[tuple[int, int]] = field(default_factory=list)
     status: str = "iter_limit"
     certificate: Certificate | None = None
     ray: np.ndarray | None = None
     discard_violations: list[tuple[int, int, float]] = field(default_factory=list)
+
+    @property
+    def discard_log(self) -> list[tuple[int, int]]:
+        """``(iteration, j)`` for every discarded index, in discard order."""
+        return [(rec.n, j) for rec in self.records for j in rec.discarded]
 
     @property
     def final_x(self) -> np.ndarray:
@@ -146,27 +152,36 @@ def hyper_grad(f: DCForm, x, j: int) -> np.ndarray:
     Its offset is nonnegative and vanishes exactly on the active
     min-part indices.
     """
+    _check_index(f, j)
+    return global_codiff(f, x).hyper[j].copy()
+
+
+def _check_index(f: DCForm, j: int) -> None:
+    # explicit, so that a negative j cannot wrap around
     if not 0 <= j < f.minus.shape[0]:
         raise IndexError(f"min-part index {j} out of range")
-    x = np.asarray(x, dtype=float)
-    row = f.minus[j]
-    return np.concatenate(([row[0] - f.min_part(x) + row[1:] @ x], row[1:]))
 
 
-def project_piece(f: DCForm, x, j: int, tol: float = 1e-10) -> np.ndarray:
+def project_piece(f: DCForm, x, j: int) -> np.ndarray:
     """Minimum-norm element ``(a_j(x), v_j(x))`` of ``H(x) + z_j(x)``."""
-    gc = global_codiff(f, x)
-    point, _ = min_norm_point(gc.hypo + hyper_grad(f, x, j), tol=tol)
-    return point
+    _check_index(f, j)
+    return _project(global_codiff(f, x), [j])[j]
 
 
-def _projections(gc: GlobalCodiff) -> np.ndarray:
-    """Minimum-norm elements of ``H(x) + z_j(x)`` for every ``j``, one per row."""
-    return np.array([min_norm_point(gc.hypo + z)[0] for z in gc.hyper])
+def _project(gc: GlobalCodiff, indices) -> dict[int, np.ndarray]:
+    """``{j: (a_j, v_j)}``, the minimum-norm element of ``H(x) + z_j(x)``
+    for each ``j`` in ``indices``: the one place that projects them."""
+    return {j: min_norm_point(gc.hypo + gc.hyper[j])[0] for j in indices}
 
 
-def _certificate(gc: GlobalCodiff, tol: float, ray: np.ndarray | None = None) -> Certificate:
-    return Certificate(point=gc.at, a_values=_projections(gc)[:, 0], tol=tol, ray=ray)
+def _certificate(
+    gc: GlobalCodiff, tol: float, done: dict[int, np.ndarray], ray: np.ndarray | None = None
+) -> Certificate:
+    """Certificate at ``gc.at``, reusing the projections ``done`` there."""
+    s = gc.hyper.shape[0]
+    points = {**_project(gc, [j for j in range(s) if j not in done]), **done}
+    a_values = np.array([points[j][0] for j in range(s)])
+    return Certificate(point=gc.at, a_values=a_values, tol=tol, ray=ray)
 
 
 def _unbounded_ray(f: DCForm, tol: float) -> np.ndarray | None:
@@ -196,7 +211,7 @@ def check_global_opt(f: DCForm, x, tol: float = 1e-9) -> tuple[bool, Certificate
     is not, the certificate carries the ray along which ``f`` decreases
     without bound.
     """
-    cert = _certificate(global_codiff(f, x), tol, _unbounded_ray(f, tol))
+    cert = _certificate(global_codiff(f, x), tol, {}, _unbounded_ray(f, tol))
     return cert.is_global, cert
 
 
@@ -208,12 +223,8 @@ def check_inf_stationary(f: DCForm, x, tol: float = 1e-9) -> bool:
     minimum-norm element has norm at most ``tol``.
     """
     gc = global_codiff(f, x)
-    for j in range(gc.hyper.shape[0]):
-        if gc.hyper[j, 0] <= tol:
-            point, _ = min_norm_point(gc.hypo + gc.hyper[j])
-            if np.linalg.norm(point) > tol:
-                return False
-    return True
+    active = [j for j in range(gc.hyper.shape[0]) if gc.hyper[j, 0] <= tol]
+    return all(np.linalg.norm(p) <= tol for p in _project(gc, active).values())
 
 
 @dataclass(frozen=True)
@@ -271,26 +282,32 @@ def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
 # descent runs
 
 
-def _default_tol(f: DCForm, x0: np.ndarray) -> float:
-    return 1e-9 * max(1.0, abs(evaluate(f, x0)))
+def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step) -> GlobalRun:
+    """The descent loop shared by both methods.
 
-
-def _verify_discards(gc: GlobalCodiff, run: GlobalRun, n: int, tol: float) -> None:
-    for it, j in run.discard_log:
-        if it < n:
-            point, _ = min_norm_point(gc.hypo + gc.hyper[j])
-            if point[0] < -10.0 * tol:
-                run.discard_violations.append((n, j, float(point[0])))
-
-
-def _start_run(method: str, f: DCForm, x: np.ndarray, tol: float) -> GlobalRun:
-    """A run at ``x``; already ended as ``unbounded_below`` when
-    ``_unbounded_ray`` finds a ray."""
+    ``tol`` defaults to ``1e-9 * max(1, |f(x0)|)``.  A function that
+    ``_unbounded_ray`` shows unbounded below ends the run at ``x0``.
+    Otherwise each iterate gets a record and ``step(gc, rec, run, tol)``
+    sees it anchored in ``gc``; the step fills the record and returns the
+    next point, or None once it has set the run's status.  After
+    ``max_iter`` steps the run ends with a bare record of the last point
+    and status ``iter_limit``.
+    """
+    x = np.array(x0, dtype=float, ndmin=1)
+    if tol is None:
+        tol = 1e-9 * max(1.0, abs(evaluate(f, x)))
     run = GlobalRun(method=method, iterates=[x], ray=_unbounded_ray(f, tol))
     if run.ray is not None:
         run.status = "unbounded_below"
-        run.records.append(IterationRecord(n=0, x=x, f=evaluate(f, x)))
-    return run
+    for n in range(max_iter + 1):
+        rec = IterationRecord(n=n, x=x, f=evaluate(f, x))
+        run.records.append(rec)
+        if run.ray is not None or n == max_iter:
+            return run
+        x = step(global_codiff(f, x), rec, run, tol)
+        if x is None:
+            return run
+        run.iterates.append(x)
 
 
 def mgcd_run(
@@ -302,10 +319,9 @@ def mgcd_run(
 ) -> GlobalRun:
     """Minimize a piecewise-affine function globally, without line search.
 
-    A run on a function that ``_unbounded_ray`` shows unbounded below
-    returns that ray at once.  Otherwise, per iteration, every
-    still-active min-part index is projected; indices with
-    ``a_j >= -tol`` are discarded permanently, and the step
+    A function unbounded below returns its ray before the first step.
+    Per iteration, every still-active min-part index is projected;
+    indices with ``a_j >= -tol`` are discarded permanently, and the step
     ``x + v_j / a_j`` of the best remaining index is taken (ties to the
     lowest index).  Termination with an empty active set certifies a
     global minimum.
@@ -314,53 +330,29 @@ def mgcd_run(
     every later iterate and logs offsets below ``-10 * tol`` in
     ``discard_violations`` (a sound run has none).
     """
-    x = np.array(x0, dtype=float, ndmin=1)
-    if tol is None:
-        tol = _default_tol(f, x)
-    run = _start_run("mgcd", f, x, tol)
-    if run.ray is not None:
-        return run
     active = list(range(f.minus.shape[0]))
-    gc = global_codiff(f, x)
 
-    for n in range(max_iter):
-        if n > 0:
-            gc = translate(f, gc, x)
+    def step(gc: GlobalCodiff, rec: IterationRecord, run: GlobalRun, tol: float):
+        seen = {}
         if verify_discards:
-            _verify_discards(gc, run, n, tol)
-        rec = IterationRecord(n=n, x=x, f=evaluate(f, x))
-        run.records.append(rec)
-        candidates: dict[int, np.ndarray] = {}
-        for j in list(active):
-            point, _ = min_norm_point(gc.hypo + gc.hyper[j])
-            rec.projections[j] = point
-            if point[0] >= -tol:
-                active.remove(j)
-                run.discard_log.append((n, j))
-                rec.discarded.append(j)
-            else:
-                candidates[j] = point
-
+            seen = _project(gc, [j for _, j in run.discard_log])
+            run.discard_violations += [
+                (rec.n, j, float(p[0])) for j, p in seen.items() if p[0] < -10.0 * tol
+            ]
+        rec.projections.update(_project(gc, active))
+        rec.discarded += [j for j in active if rec.projections[j][0] >= -tol]
+        active[:] = [j for j in active if j not in rec.discarded]
         if not active:
             run.status = "global_min"
-            run.certificate = _certificate(gc, tol)
-            return run
+            run.certificate = _certificate(gc, tol, {**seen, **rec.projections})
+            return None
+        trials = {j: rec.x + rec.projections[j][1:] / rec.projections[j][0] for j in active}
+        values = {j: evaluate(f, y) for j, y in trials.items()}
+        rec.chosen_j = min(values, key=values.get)
+        rec.step_trial_value = values[rec.chosen_j]
+        return trials[rec.chosen_j]
 
-        best_j, best_val, best_y = -1, math.inf, None
-        for j in sorted(candidates):
-            point = candidates[j]
-            y = x + point[1:] / point[0]
-            val = evaluate(f, y)
-            if val < best_val:
-                best_j, best_val, best_y = j, val, y
-        rec.chosen_j = best_j
-        rec.step_trial_value = best_val
-        x = best_y
-        run.iterates.append(x)
-
-    run.records.append(IterationRecord(n=max_iter, x=x, f=evaluate(f, x)))
-    run.status = "iter_limit"
-    return run
+    return _descend("mgcd", f, x0, tol, max_iter, step)
 
 
 def mcd_run(
@@ -379,71 +371,39 @@ def mcd_run(
     no candidate yields descent.  With ``mu = inf`` the stall point is a
     certified global minimum; with a finite ``mu`` it may be merely
     inf-stationary, and the attached certificate distinguishes the two.
-    As in ``mgcd_run``, a function unbounded below is caught by
-    ``_unbounded_ray`` before the first step, and any other unbounded
-    direction by the line search.
+    As in ``mgcd_run``, a function unbounded below returns its ray before
+    the first step; the line search reports any other unbounded ray.
 
     Each record's ``step_trial_value`` is the best explicit-step value
     ``min_j f(x + v_j / a_j)`` over descent candidates, so traces can
     be checked for per-step dominance over the explicit-step method.
     """
-    x = np.array(x0, dtype=float, ndmin=1)
-    if tol is None:
-        tol = _default_tol(f, x)
     s = f.minus.shape[0]
-    run = _start_run("mcd", f, x, tol)
-    if run.ray is not None:
-        return run
-    gc = global_codiff(f, x)
 
-    for n in range(max_iter):
-        if n > 0:
-            gc = translate(f, gc, x)
-        fx = evaluate(f, x)
-        rec = IterationRecord(n=n, x=x, f=fx)
-        run.records.append(rec)
+    def step(gc: GlobalCodiff, rec: IterationRecord, run: GlobalRun, tol: float):
         cand = [j for j in range(s) if gc.hyper[j, 0] <= mu + tol]
-        for j in cand:
-            rec.projections[j], _ = min_norm_point(gc.hypo + gc.hyper[j])
-
-        descent = {j: rec.projections[j] for j in cand if rec.projections[j][0] < -tol}
+        rec.projections.update(_project(gc, cand))
+        descent = [p for p in rec.projections.values() if p[0] < -tol]
         if descent:
-            rec.step_trial_value = min(
-                evaluate(f, x + p[1:] / p[0]) for p in descent.values()
-            )
-        if len(cand) == s and not descent:
-            run.status = "global_min"
-            run.certificate = Certificate(
-                point=x,
-                a_values=np.array([rec.projections[j][0] for j in range(s)]),
-                tol=tol,
-            )
-            return run
+            rec.step_trial_value = min(evaluate(f, rec.x + p[1:] / p[0]) for p in descent)
 
-        best_j, best = -1, None
-        for j in cand:
+        # every piece a candidate and none descending certifies x as it stands
+        searches = {}
+        for j in cand if descent or len(cand) < s else []:
             vj = rec.projections[j][1:]
-            if np.linalg.norm(vj) <= 1e-15:
-                continue
-            ls = line_search_pa(f, x, vj)
-            if ls.unbounded:
-                run.status = "unbounded_below"
-                run.ray = -vj / np.linalg.norm(vj)
-                return run
-            if best is None or ls.value < best.value:
-                best_j, best = j, ls
+            if np.linalg.norm(vj) > 1e-15:
+                searches[j] = line_search_pa(f, rec.x, vj)
+                if searches[j].unbounded:
+                    run.status = "unbounded_below"
+                    run.ray = -vj / np.linalg.norm(vj)
+                    return None
 
-        if best is None or best.value >= fx - tol:
-            cert = _certificate(gc, tol)
-            run.status = "global_min" if cert.is_global else "inf_stationary"
-            run.certificate = cert
-            return run
+        best = min(searches, key=lambda j: searches[j].value, default=None)
+        if best is None or searches[best].value >= rec.f - tol:
+            run.certificate = _certificate(gc, tol, rec.projections)
+            run.status = "global_min" if run.certificate.is_global else "inf_stationary"
+            return None
+        rec.chosen_j, rec.alpha = best, searches[best].alpha
+        return rec.x - rec.alpha * rec.projections[best][1:]
 
-        rec.chosen_j = best_j
-        rec.alpha = best.alpha
-        x = x - best.alpha * rec.projections[best_j][1:]
-        run.iterates.append(x)
-
-    run.records.append(IterationRecord(n=max_iter, x=x, f=evaluate(f, x)))
-    run.status = "iter_limit"
-    return run
+    return _descend("mcd", f, x0, tol, max_iter, step)

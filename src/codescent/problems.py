@@ -145,6 +145,20 @@ def worked_example() -> DCForm:
     return expr_to_dc(Min(g1, g2))
 
 
+#: ``worked_example()``'s hypodifferential and hyperdifferential at
+#: (2, 2), as integer ``(offset, gradient)`` rows: 16 and 8 vertices.
+WORKED_EXAMPLE_HYPO = frozenset({
+    (0, 3, 0), (-4, 1, 0), (0, 2, 1), (-4, 2, -1),
+    (0, -1, 0), (-4, -3, 0), (0, -2, 1), (-4, -2, -1),
+    (0, 1, 1), (-4, -1, 1), (0, 0, 2), (-4, 0, 0),
+    (0, 1, -1), (-4, -1, -1), (0, 0, 0), (-4, 0, -2),
+})
+WORKED_EXAMPLE_HYPER = frozenset({
+    (1, 2, 0), (1, -2, 0), (1, 0, 1), (1, 0, -1),
+    (0, -1, 0), (4, 1, 0), (0, 0, -1), (4, 0, 1),
+})
+
+
 def max_quadratics(
     seed: int,
     d: int = 10,

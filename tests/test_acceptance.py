@@ -32,18 +32,8 @@ from codescent import (
     worked_example,
 )
 from codescent.mhd import MHDConfig
+from codescent.problems import WORKED_EXAMPLE_HYPER, WORKED_EXAMPLE_HYPO
 from conftest import project_origin_small_hull, random_expr, slsqp_min_of_max
-
-KNOWN_HYPO = {
-    (0, 3, 0), (-4, 1, 0), (0, 2, 1), (-4, 2, -1),
-    (0, -1, 0), (-4, -3, 0), (0, -2, 1), (-4, -2, -1),
-    (0, 1, 1), (-4, -1, 1), (0, 0, 2), (-4, 0, 0),
-    (0, 1, -1), (-4, -1, -1), (0, 0, 0), (-4, 0, -2),
-}
-KNOWN_HYPER = {
-    (1, 2, 0), (1, -2, 0), (1, 0, 1), (1, 0, -1),
-    (0, -1, 0), (4, 1, 0), (0, 0, -1), (4, 0, 1),
-}
 
 
 def report(n, detail):
@@ -85,8 +75,8 @@ def test_criterion_1_worked_example_reproduction():
     x0 = np.array([2.0, 2.0])
 
     gc = global_codiff(f, x0)
-    assert exact_int_set(gc.hypo) == KNOWN_HYPO          # (i) 16-vertex set
-    assert exact_int_set(gc.hyper) == KNOWN_HYPER        # (i) 8-vertex set
+    assert exact_int_set(gc.hypo) == WORKED_EXAMPLE_HYPO         # (i) 16-vertex set
+    assert exact_int_set(gc.hyper) == WORKED_EXAMPLE_HYPER       # (i) 8-vertex set
 
     z1 = hyper_grad(f, x0, 0)                            # (ii)
     assert np.array_equal(z1, np.array([1.0, 2.0, 0.0]))

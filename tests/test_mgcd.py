@@ -67,6 +67,10 @@ def test_project_piece_showcase():
     # at the global minimizer every piece projects to a nonnegative offset
     for j in range(8):
         assert project_piece(f, np.zeros(2), j)[0] >= -1e-9
+    # a negative index must not wrap around to the last piece
+    for j in (-1, 8):
+        with pytest.raises(IndexError):
+            project_piece(f, X0, j)
 
 
 def test_project_piece_abs_at_kink():
@@ -322,6 +326,26 @@ def test_mcd_dominates_explicit_step():
         for rec, nxt in zip(run.records, run.records[1:]):
             if rec.step_trial_value is not None:
                 assert nxt.f <= rec.step_trial_value + 1e-9 * max(1.0, abs(rec.f))
+
+
+# ---------------------------------------------------------------------------
+# certificates reuse the run's last projections
+
+
+def test_mgcd_certificate_matches_check_global_opt():
+    for d, l, s, seed in instance_grid():
+        f = generate_pa(seed, d, l, s)
+        run = mgcd_run(f, random_start(seed, d))
+        _, cert = check_global_opt(f, run.final_x)
+        assert np.allclose(run.certificate.a_values, cert.a_values, rtol=0.0, atol=1e-12)
+
+
+def test_mcd_inf_stationary_certificate_matches_check_global_opt():
+    f = worked_example()
+    run = mcd_run(f, X0, mu=0.0)
+    assert run.status == "inf_stationary"
+    _, cert = check_global_opt(f, run.final_x)
+    assert np.allclose(run.certificate.a_values, cert.a_values, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

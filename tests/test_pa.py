@@ -25,20 +25,10 @@ from codescent import (
     translate,
     worked_example,
 )
+from codescent.problems import WORKED_EXAMPLE_HYPER, WORKED_EXAMPLE_HYPO
 from conftest import random_expr
 
 ABS_X = DCForm(1, np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([[0.0, 0.0]]))
-
-SHOWCASE_HYPO = {
-    (0, 3, 0), (-4, 1, 0), (0, 2, 1), (-4, 2, -1),
-    (0, -1, 0), (-4, -3, 0), (0, -2, 1), (-4, -2, -1),
-    (0, 1, 1), (-4, -1, 1), (0, 0, 2), (-4, 0, 0),
-    (0, 1, -1), (-4, -1, -1), (0, 0, 0), (-4, 0, -2),
-}
-SHOWCASE_HYPER = {
-    (1, 2, 0), (1, -2, 0), (1, 0, 1), (1, 0, -1),
-    (0, -1, 0), (4, 1, 0), (0, 0, -1), (4, 0, 1),
-}
 
 
 def as_int_set(rows):
@@ -98,8 +88,8 @@ def test_eval_batch_and_dimension_check():
 
 def test_global_codiff_showcase_vertex_sets():
     gc = global_codiff(worked_example(), [2.0, 2.0])
-    assert as_int_set(gc.hypo) == SHOWCASE_HYPO
-    assert as_int_set(gc.hyper) == SHOWCASE_HYPER
+    assert as_int_set(gc.hypo) == WORKED_EXAMPLE_HYPO
+    assert as_int_set(gc.hyper) == WORKED_EXAMPLE_HYPER
 
 
 def test_global_codiff_single_affine():
@@ -187,7 +177,7 @@ def test_codiff_sum_matches_showcase_minkowski():
     # the showcase hypodifferential is the Minkowski sum of the two branches'
     h = codiff_sum([g1_dc(), g2_dc()])
     gc = global_codiff(h, [2.0, 2.0])
-    assert as_int_set(gc.hypo) == SHOWCASE_HYPO
+    assert as_int_set(gc.hypo) == WORKED_EXAMPLE_HYPO
 
 
 def test_codiff_max_branch_vertex_sets():
@@ -200,7 +190,7 @@ def test_codiff_max_branch_vertex_sets():
 def test_codiff_min_showcase_hyper():
     f = codiff_min([g1_dc(), g2_dc()])
     gc = global_codiff(f, [2.0, 2.0])
-    assert as_int_set(gc.hyper) == SHOWCASE_HYPER
+    assert as_int_set(gc.hyper) == WORKED_EXAMPLE_HYPER
 
 
 def test_codiff_max_min_single_operand():
