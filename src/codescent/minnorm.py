@@ -53,9 +53,11 @@ def min_norm_point(
         the second term is the float resolution of the scores ``<p, q>``.
         Also stop once a major cycle fails to strictly decrease
         ``||p||^2``, returning the point before or after it, whichever has
-        the smaller gap ``||p||^2 - min_q <p, q>``.  In exact arithmetic
-        every major cycle decreases it, so no corral repeats and the
-        solver terminates.
+        the smaller gap ``||p||^2 - min_q <p, q>``; a cycle that leaves the
+        float value of ``||p||^2`` equal but shrinks the gap goes on, as
+        float may not resolve a true decrease at that norm.  So every
+        cycle decreases ``(||p||^2, gap)`` lexicographically, no point
+        repeats and the solver terminates.
     max_iter : int, optional
         Cap on major plus minor cycles; defaults to ``1000 * m``.
 
@@ -140,11 +142,15 @@ def min_norm_point(
             x = lam @ P[corral]
 
         if float(x @ x) >= xx:
-            # float cannot order the two points by norm; keep the one with
-            # the smaller Wolfe gap, which bounds the squared distance to p*
+            # float cannot order the two points by norm; the Wolfe gap bounds
+            # the squared distance to p*, so keep the point with the smaller
+            # gap, and go on only from an equal norm with a smaller gap:
+            # (norm, gap) then decreases lexicographically and no x repeats
             if float(x @ x - np.min(P @ x)) >= xx - scores[j]:
                 corral, lam, x = before
-            break
+                break
+            if float(x @ x) > xx:
+                break
 
     weights = np.zeros(m)
     for c, l in zip(corral, lam):

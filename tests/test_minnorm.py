@@ -81,6 +81,10 @@ hulls = st.tuples(st.integers(1, 12), st.integers(1, 6)).flatmap(
 @given(P=hulls, e=st.floats(-6, 6))
 # float cannot tell the norms of vertex 0 and of (0, -5) apart
 @example(P=np.array([[6.17501698e-08, -5.0], [-5.0, -5.0]]), e=1.0)
+# nor the norms before and after the first cycle, though the gap halves
+@example(
+    P=np.array([[-6.0] * 6, [0.0, 1.1920929e-07] + [-6.0] * 4, [0.0] + [-6.0] * 5]), e=1.0
+)
 def test_scale_equivariance(P, e):
     """min_norm_point(c P) = c min_norm_point(P), with ``tol`` scaled by c**2.
 
