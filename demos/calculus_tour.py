@@ -49,7 +49,7 @@ for dx in rng.normal(size=(4, 2)) * 2:
     rhs = evaluate(f, x + dx) - evaluate(f, x)
     print(f"  dx = {np.round(dx, 3)}:  model {lhs:+.6f}  true {rhs:+.6f}")
 
-# --- re-anchoring costs O(pieces), no recompilation ------------------------
+# --- re-anchoring with translate matches a rebuild at the new point --------
 y = np.array([-2.0, 1.0])
 moved = translate(f, gc, y)
 direct = global_codiff(f, y)

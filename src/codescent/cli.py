@@ -11,10 +11,11 @@ Subcommands
 
 Machine output goes to stdout (or ``--out``); progress and human
 narration go to stderr.  Exit codes: 0 success / certified global
-minimum, 1 failed verification or a negative certificate, 2 unbounded
-below, 3 iteration limit, 4 input error, 5 stalled at a non-global
-inf-stationary point (MCD with finite ``mu``), 6 a numerical solver
-failed (``NoConvergence``, ``Degenerate`` or ``ArmijoFailure``).
+minimum, 1 failed verification, a negative certificate or an
+``undecided`` run, 2 unbounded below, 3 iteration limit, 4 input
+error, 5 stalled at a non-global inf-stationary point (MCD with finite
+``mu``), 6 a numerical solver failed (``NoConvergence``, ``Degenerate``
+or ``ArmijoFailure``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,14 @@ import numpy as np
 
 from .convex import ConvexPAView
 from .errors import ArmijoFailure, Degenerate, GenerationFailure, NoConvergence
-from .mgcd import check_global_opt, line_search_pa, mcd_run, mgcd_run, project_piece
+from .mgcd import (
+    _unbounded_ray,
+    check_global_opt,
+    line_search_pa,
+    mcd_run,
+    mgcd_run,
+    project_piece,
+)
 from .mhd import MHDConfig, mhd_run
 from .oracle import pa_global_min
 from .pa import DCForm, evaluate, global_codiff
@@ -121,24 +129,19 @@ def _run_method(method: str, f: DCForm, x0: np.ndarray, args):
     elif method == "mhd":
         if f.minus.shape[0] != 1:
             raise InputError("--method mhd needs a convex problem (a single min-part piece)")
-        view = ConvexPAView(f)
-        unbounded = {}
-
-        def exact_ls(x, v):
-            res = line_search_pa(f, x, v)
-            if res.unbounded:
-                unbounded["ray"] = -v / np.linalg.norm(v)
-                raise _UnboundedSignal
-            return res.alpha
-
         cfg = MHDConfig(stop_tol=tol or 1e-8, max_iter=args.max_iter)
-        try:
-            trace = mhd_run(view, x0, cfg, exact_line_search=exact_ls)
-        except _UnboundedSignal:
+        # the ray test takes squared-norm units; MHD's stop_tol is a norm
+        ray = _unbounded_ray(f, cfg.stop_tol**2)
+        if ray is not None:
             return "unbounded_below", x0, float(evaluate(f, x0)), 0, {
                 "status": "unbounded_below",
-                "ray": list(map(float, unbounded["ray"])),
+                "ray": list(map(float, ray)),
             }, ""
+
+        def exact_ls(x, v):
+            return line_search_pa(f, x, v).alpha
+
+        trace = mhd_run(ConvexPAView(f), x0, cfg, exact_line_search=exact_ls)
         status = "global_min" if trace.status == "stationary" else trace.status
         return (
             status,
@@ -151,10 +154,6 @@ def _run_method(method: str, f: DCForm, x0: np.ndarray, args):
     else:
         raise InputError(f"unknown method {method!r}")
     return run.status, run.final_x, run.final_f, run.n_steps, run.to_dict(), _run_csv(run)
-
-
-class _UnboundedSignal(Exception):
-    pass
 
 
 def _run_csv(run) -> str:

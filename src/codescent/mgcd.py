@@ -16,11 +16,11 @@ it once per run (and once per ``check_global_opt``) before any
 projection is read.
 
 ``mgcd_run`` iterates exactly this, maintaining the active index set;
-once every index is discarded the current point is a *global* minimum
-and a per-index certificate is attached.  ``mcd_run`` is the classic
-variant: it keeps all indices with hyper offset at most ``mu`` and
-replaces the explicit step by an exact line search along each
-candidate direction, moving to the best outcome.
+once every index is discarded a per-index certificate is attached, and
+the run claims a *global* minimum only if that certificate holds.
+``mcd_run`` is the classic variant: it keeps all indices with hyper
+offset at most ``mu`` and replaces the explicit step by an exact line
+search along each candidate direction, moving to the best outcome.
 
 Both are one loop, ``_descend``, with two step rules.  It anchors each
 iterate with ``global_codiff``, every projection goes through
@@ -99,7 +99,9 @@ class GlobalRun:
 
     ``status`` is one of ``"global_min"``, ``"unbounded_below"``,
     ``"inf_stationary"`` (MCD stalled at a non-global stationary point,
-    possible only with a finite ``mu``) or ``"iter_limit"``.
+    possible only with a finite ``mu``), ``"undecided"`` (MGCD discarded
+    every piece, yet its own certificate at the final point does not
+    hold) or ``"iter_limit"``.
     """
 
     method: str
@@ -323,8 +325,9 @@ def mgcd_run(
     Per iteration, every still-active min-part index is projected;
     indices with ``a_j >= -tol`` are discarded permanently, and the step
     ``x + v_j / a_j`` of the best remaining index is taken (ties to the
-    lowest index).  Termination with an empty active set certifies a
-    global minimum.
+    lowest index).  Once the active set is empty the run ends with
+    status ``global_min`` if the certificate at the final point holds,
+    and ``undecided`` otherwise.
 
     ``verify_discards`` re-projects every previously discarded index at
     every later iterate and logs offsets below ``-10 * tol`` in
@@ -343,8 +346,8 @@ def mgcd_run(
         rec.discarded += [j for j in active if rec.projections[j][0] >= -tol]
         active[:] = [j for j in active if j not in rec.discarded]
         if not active:
-            run.status = "global_min"
             run.certificate = _certificate(gc, tol, {**seen, **rec.projections})
+            run.status = "global_min" if run.certificate.is_global else "undecided"
             return None
         trials = {j: rec.x + rec.projections[j][1:] / rec.projections[j][0] for j in active}
         values = {j: evaluate(f, y) for j, y in trials.items()}

@@ -1,15 +1,34 @@
 """Independent ground truth for piecewise-affine minimization.
 
-A dense two-phase simplex (Bland's anti-cycling rule) drives three
-entry points:
+Every LP here is the epigraph LP of one piece ``j`` of
+``f = min_j max_i (a_i + b_j + <v_i + w_j, x>)``.  Substituting
+``tau = t - b_j - <w_j, x>`` turns it into
 
-* :func:`min_max_affine` — exact minimum of a max of affine pieces via
-  the epigraph LP, with an explicit certificate ray when unbounded;
+    min  tau + <w_j, x>   s.t.  a_i + <v_i, x> <= tau  for every i,
+
+whose constraints are the max part alone, the same for every ``j``.  So
+one dense simplex tableau serves all pieces of a function:
+
+* **feasible start** — ``x = 0, tau = max_i a_i`` is feasible, and one
+  pivot on ``tau`` at the row of the largest ``a_i`` makes the slack
+  basis a feasible basis, so there is no phase 1;
+* **per-piece re-pricing** — each piece sets its cost row, prices out
+  the basic columns and continues primal simplex from the previous
+  piece's optimal basis;
+* **rank-1 pivots** — with Bland's rule (smallest entering index;
+  smallest ratio, ties by smallest basic index), which terminates from
+  any feasible basis.
+
+Three entry points use it:
+
+* :func:`min_max_affine` — exact minimum of a max of affine pieces (one
+  piece with a zero min part), with an explicit certificate ray when
+  unbounded;
 * :func:`classify_nonnegative` — decide whether such a function is
   nonnegative everywhere, attains negative values, or is unbounded
   below, certified via the minimum-norm point of its piece hull;
-* :func:`pa_global_min` — exact global minimum of a DCForm by solving
-  one epigraph LP per min-part piece.
+* :func:`pa_global_min` — exact global minimum of a DCForm, the
+  smallest of its per-piece LP optima.
 
 Everything here is deliberately independent of the descent methods it
 is used to check, except that ``classify_nonnegative`` consults the
@@ -27,6 +46,7 @@ from .minnorm import min_norm_point
 from .pa import DCForm
 
 _PIVOT_TOL = 1e-9
+_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,150 +87,106 @@ class NonnegativityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# dense two-phase simplex
+# dense primal simplex from a feasible basis
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * T[row]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
 
 
-def _run_simplex(T, basis, cost_cols, max_iter):
-    """Run Bland-rule pivots on tableau ``T`` in place.
+def solve_lp(T: np.ndarray, basis: np.ndarray, c: np.ndarray, max_iter: int = 100_000):
+    """Minimize ``c @ z`` over ``z >= 0`` from a feasible basis.
 
-    ``T`` has the cost row last and the rhs column last.  ``cost_cols``
-    restricts the admissible entering columns.  Returns ``"optimal"``
-    or ``("unbounded", col)``.
+    ``T`` is a canonical tableau ``[B^-1 A | B^-1 b]``, one row per
+    constraint, with a nonnegative last column; ``basis[i]`` is the
+    column basic in row ``i``.  Bland-rule primal simplex pivots ``T``
+    and ``basis`` in place, so the next call starts from this call's
+    final basis.  Returns ``("optimal", z, None)`` or
+    ``("unbounded", z, ray)`` where ``z`` is the basic feasible point at
+    which the unbounded ray starts.  Raises ``Degenerate`` on a
+    pivot-cap trip.
     """
-    m = T.shape[0] - 1
+    n = T.shape[1] - 1
+    cost = np.append(c, 0.0)
+    cost -= cost[basis] @ T
+    ray = None
     for _ in range(max_iter):
-        enter = -1
-        for j in cost_cols:
-            if T[-1, j] < -_PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal", -1
-        leave, best, best_var = -1, np.inf, np.inf
-        for i in range(m):
-            a = T[i, enter]
-            if a > _PIVOT_TOL:
-                ratio = T[i, -1] / a
-                # Bland: smallest ratio, ties by smallest basic-variable index
-                if ratio < best - 1e-12 or (ratio < best + 1e-12 and basis[i] < best_var):
-                    leave, best, best_var = i, ratio, basis[i]
-        if leave < 0:
-            return "unbounded", enter
+        entering = np.flatnonzero(cost[:n] < -_PIVOT_TOL)
+        if entering.size == 0:
+            break
+        enter = entering[0]
+        col = T[:, enter]
+        rows = np.flatnonzero(col > _PIVOT_TOL)
+        if rows.size == 0:
+            # push the entering column; the basic variables compensate
+            ray = np.zeros(n)
+            ray[basis] = -col
+            ray[enter] = 1.0
+            break
+        ratio = T[rows, -1] / col[rows]
+        ties = rows[ratio <= ratio.min() + _TIE_TOL]
+        leave = ties[np.argmin(basis[ties])]
         _pivot(T, leave, enter)
+        cost -= cost[enter] * T[leave]
         basis[leave] = enter
-    raise Degenerate("simplex iteration cap exceeded")
-
-
-def solve_lp(A: np.ndarray, b: np.ndarray, c: np.ndarray, max_iter: int = 100_000):
-    """Minimize ``c @ z`` subject to ``A z = b``, ``z >= 0``.
-
-    Two-phase dense simplex with Bland's rule.  Returns
-    ``("optimal", z, None)`` or ``("unbounded", z, ray)`` where ``z`` is
-    the feasible point at which the unbounded ray starts.  Raises
-    ``Degenerate`` on a pivot-cap trip and ``ValueError`` if the
-    constraints are infeasible.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
-    c = np.asarray(c, dtype=float)
-    m, n = A.shape
-    A = A.copy()
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # phase 1: artificial variables, one per row
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b
-    basis = list(range(n, n + m))
-    T[-1, :n] = -A.sum(axis=0)
-    T[-1, -1] = -b.sum()
-    status, _ = _run_simplex(T, basis, range(n), max_iter)
-    if T[-1, -1] < -1e-7:
-        raise ValueError("LP infeasible")
-    # drive remaining artificials out of the basis
-    for i in range(m):
-        if basis[i] >= n:
-            piv = next((j for j in range(n) if abs(T[i, j]) > _PIVOT_TOL), -1)
-            if piv >= 0:
-                _pivot(T, i, piv)
-                basis[i] = piv
-            # else: redundant row; its artificial stays basic at zero
-
-    # phase 2: real objective on the original columns
-    T2 = np.zeros((m + 1, n + 1))
-    T2[:m, :n] = T[:m, :n]
-    T2[:m, -1] = T[:m, -1]
-    T2[-1, :n] = c
-    for i, bi in enumerate(basis):
-        if bi < n:
-            T2[-1] -= c[bi] * T2[i]
-    status, enter = _run_simplex(T2, basis, range(n), max_iter)
-
+    else:
+        raise Degenerate("simplex iteration cap exceeded")
     z = np.zeros(n)
-    for i, bi in enumerate(basis):
-        if bi < n:
-            z[bi] = T2[i, -1]
-    if status == "optimal":
-        return "optimal", z, None
-    # recession ray: push the entering column, basic variables compensate
-    # (rows whose basic variable is still an artificial are redundant and
-    # have a zero entry in every real column, the entering one included)
-    ray = np.zeros(n)
-    ray[enter] = 1.0
-    for i, bi in enumerate(basis):
-        if bi < n:
-            ray[bi] = -T2[i, enter]
-    return "unbounded", z, ray
+    z[basis] = T[:, -1]
+    return ("optimal" if ray is None else "unbounded"), z, ray
 
 
 # ---------------------------------------------------------------------------
 # polyhedral entry points
 
 
-def min_max_affine(pieces: np.ndarray, d: int | None = None) -> LPOutcome:
+def _piece_minima(plus: np.ndarray, minus: np.ndarray):
+    """Yield the :class:`LPOutcome` of each piece ``j``,
+    ``min_x max_i (a_i + b_j + <v_i + w_j, x>)``, from one shared tableau.
+
+    Columns: ``x+`` (d), ``x-`` (d), ``tau+``, ``tau-``, slacks (m), rhs.
+    """
+    a, V = plus[:, 0], plus[:, 1:]
+    m, d = V.shape
+    T = np.zeros((m, 2 * d + 3 + m))
+    T[:, :d] = V
+    T[:, d : 2 * d] = -V
+    T[:, 2 * d] = -1.0
+    T[:, 2 * d + 1] = 1.0
+    T[:, 2 * d + 2 : -1] = np.eye(m)
+    T[:, -1] = -a
+    basis = np.arange(2 * d + 2, 2 * d + 2 + m)
+    # tau = max_i a_i enters as tau+ or tau-, whichever is then nonnegative
+    top = int(np.argmax(a))
+    tau = 2 * d if a[top] >= 0 else 2 * d + 1
+    _pivot(T, top, tau)
+    basis[top] = tau
+
+    c = np.zeros(T.shape[1] - 1)
+    c[2 * d], c[2 * d + 1] = 1.0, -1.0
+    for b, w in zip(minus[:, 0], minus[:, 1:]):
+        c[:d], c[d : 2 * d] = w, -w
+        status, z, ray = solve_lp(T, basis, c)
+        if status == "optimal":
+            x = z[:d] - z[d : 2 * d]
+            yield LPOutcome("bounded", argmin=x, value=float(np.max(a + V @ x) + b + w @ x))
+        else:
+            r = ray[:d] - ray[d : 2 * d]
+            nrm = np.linalg.norm(r)
+            yield LPOutcome("unbounded_below", ray=r / nrm if nrm > 0 else r)
+
+
+def min_max_affine(pieces: np.ndarray) -> LPOutcome:
     """Minimize ``max_i (a_i + <v_i, x>)`` over all of R^d.
 
-    ``pieces`` is an ``(m, d + 1)`` array of rows ``(a_i, v_i)``.  Uses
-    the epigraph LP ``min t  s.t.  t >= a_i + <v_i, x>`` with free
-    variables split into positive parts.
+    ``pieces`` is an ``(m, d + 1)`` array of rows ``(a_i, v_i)``: the
+    epigraph LP of a single piece with a zero min part.
     """
     pieces = np.atleast_2d(np.asarray(pieces, dtype=float))
-    if d is None:
-        d = pieces.shape[1] - 1
-    m = pieces.shape[0]
-    a, V = pieces[:, 0], pieces[:, 1:]
-
-    # columns: x+ (d), x- (d), t+, t-, slacks (m)
-    n = 2 * d + 2 + m
-    A = np.zeros((m, n))
-    A[:, :d] = V
-    A[:, d : 2 * d] = -V
-    A[:, 2 * d] = -1.0
-    A[:, 2 * d + 1] = 1.0
-    A[:, 2 * d + 2 :] = np.eye(m)
-    b = -a
-    c = np.zeros(n)
-    c[2 * d] = 1.0
-    c[2 * d + 1] = -1.0
-
-    status, z, ray = solve_lp(A, b, c)
-    if status == "optimal":
-        x = z[:d] - z[d : 2 * d]
-        value = float(np.max(a + V @ x))
-        return LPOutcome(status="bounded", argmin=x, value=value)
-    r = ray[:d] - ray[d : 2 * d]
-    nrm = np.linalg.norm(r)
-    return LPOutcome(status="unbounded_below", ray=r / nrm if nrm > 0 else r)
+    return next(_piece_minima(pieces, np.zeros((1, pieces.shape[1]))))
 
 
 def classify_nonnegative(pieces: np.ndarray, tol: float = 1e-9) -> NonnegativityVerdict:
@@ -244,12 +220,11 @@ def pa_global_min(f: DCForm) -> LPOutcome:
 
     ``f`` equals ``min_j [ max_i (a_i + b_j + <v_i + w_j, x>) ]``, so
     the global minimum is the smallest of the per-``j`` epigraph LP
-    optima; any unbounded piece makes ``f`` unbounded below.
+    optima; any unbounded piece makes ``f`` unbounded below.  All
+    pieces share one tableau (see the module docstring).
     """
     best: LPOutcome | None = None
-    for j in range(f.minus.shape[0]):
-        shifted = f.plus + f.minus[j]
-        lp = min_max_affine(shifted, f.d)
+    for lp in _piece_minima(f.plus, f.minus):
         if not lp.bounded:
             return lp
         if best is None or lp.value < best.value:

@@ -75,6 +75,17 @@ def test_solve_unbounded_exit_code(tmp_path, capsys):
     assert json.loads(out)["status"] == "unbounded_below"
 
 
+def test_solve_mhd_unbounded(tmp_path, capsys):
+    # f = max(x, 2x): convex, one piece, unbounded below
+    prob = tmp_path / "u.json"
+    prob.write_text('{"d": 1, "plus": [{"a": 0, "v": [1]}, {"a": 0, "v": [2]}], "minus": [{"b": 0, "w": [0]}]}')
+    code, out = run_cli(capsys, "solve", "--problem", str(prob), "--method", "mhd")
+    assert code == cli.EXIT_UNBOUNDED
+    result = json.loads(out)
+    assert result["status"] == "unbounded_below"
+    assert result["trace"]["ray"] == pytest.approx([-1.0])
+
+
 def test_solve_iter_limit_exit_code(example_file, capsys):
     code, out = run_cli(capsys, "solve", "--problem", example_file, "--x0", "2,2", "--max-iter", "0")
     assert code == 3

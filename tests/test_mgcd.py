@@ -236,6 +236,15 @@ def test_scaled_instance_certified(method, k):
     assert run.final_f / c == pytest.approx(-4.2, abs=1e-6)
 
 
+def test_mgcd_status_follows_its_certificate():
+    # at scale 1e-6 the absolute min-norm tolerance stops Wolfe early, MGCD
+    # discards every piece at f / c = 5.65 (the minimum is -4.2), and its
+    # own certificate there does not hold
+    run = mgcd_run(generate_pa(42, 3, 8, 4, scale=1e-6), [1.0, 2.0, -1.0], max_iter=100_000)
+    assert not run.certificate.is_global
+    assert run.status == "undecided"
+
+
 def test_mgcd_strict_decay_inequality():
     for d, l, s, seed in instance_grid():
         f = generate_pa(seed, d, l, s)

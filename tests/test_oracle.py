@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from codescent import (
     DCForm,
@@ -171,3 +173,48 @@ def test_global_min_lower_bounds_samples(rng):
         out = pa_global_min(f)
         X = rng.uniform(-5, 5, size=(1000, d))
         assert out.value <= float(evaluate(f, X).min()) + 1e-8
+
+
+@st.composite
+def integer_dcforms(draw):
+    """Small integer DCForms; the narrow range gives tied offsets, and
+    some rows are drawn again as duplicates, so Bland's tie-break runs."""
+    d = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2), min_size=d + 1, max_size=d + 1)
+    plus = draw(st.lists(row, min_size=1, max_size=6))
+    plus += [plus[i] for i in draw(st.lists(st.integers(0, len(plus) - 1), max_size=3))]
+    minus = draw(st.lists(row, min_size=1, max_size=4))
+    return DCForm(d, np.array(plus, dtype=float), np.array(minus, dtype=float))
+
+
+def _highs_piece_minima(f):
+    from scipy.optimize import linprog
+
+    cost = np.zeros(f.d + 1)
+    cost[-1] = 1.0
+    for row in f.minus:
+        P = f.plus + row
+        A = np.column_stack([P[:, 1:], -np.ones(len(P))])
+        res = linprog(cost, A_ub=A, b_ub=-P[:, 0], bounds=[(None, None)] * (f.d + 1),
+                      method="highs", options={"presolve": False})
+        assert res.status in (0, 3)
+        yield res.fun if res.status == 0 else -np.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=integer_dcforms())
+# f = max(x, 2x): unbounded below
+@example(f=DCForm(1, np.array([[0.0, 1.0], [0.0, 2.0]]), np.array([[0.0, 0.0]])))
+# |x| with a duplicated row and tied offsets, minus a tied pair of pieces
+@example(f=DCForm(1, np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 1.0]]), np.array([[0.0, 0.0], [0.0, 0.0]])))
+def test_pa_global_min_matches_highs(f):
+    out = pa_global_min(f)
+    ref = min(_highs_piece_minima(f))
+    if ref == -np.inf:
+        assert not out.bounded
+        slope = np.max(f.plus[:, 1:] @ out.ray) + np.min(f.minus[:, 1:] @ out.ray)
+        assert slope < 0
+    else:
+        assert out.bounded
+        assert out.value == pytest.approx(ref, abs=1e-7)
+        assert abs(float(evaluate(f, out.argmin)) - out.value) <= 1e-9 * max(1.0, abs(out.value))
