@@ -8,6 +8,10 @@ from codescent import cli
 from codescent.cli import main
 
 UNBOUNDED = '{"d": 1, "plus": [{"a": 0, "v": [1]}], "minus": [{"b": 0, "w": [0]}]}'
+# f = max(x, 2x): convex, one piece, unbounded below
+CONVEX_UNBOUNDED = (
+    '{"d": 1, "plus": [{"a": 0, "v": [1]}, {"a": 0, "v": [2]}], "minus": [{"b": 0, "w": [0]}]}'
+)
 # f = min(0, 1 + x): unbounded below, though every offset at x = 0 is >= 0
 MIN_ZERO_SHIFTED_LINE = (
     '{"d": 1, "plus": [{"a": 0, "v": [0]}], "minus": [{"b": 0, "w": [0]}, {"b": 1, "w": [1]}]}'
@@ -76,9 +80,8 @@ def test_solve_unbounded_exit_code(tmp_path, capsys):
 
 
 def test_solve_mhd_unbounded(tmp_path, capsys):
-    # f = max(x, 2x): convex, one piece, unbounded below
     prob = tmp_path / "u.json"
-    prob.write_text('{"d": 1, "plus": [{"a": 0, "v": [1]}, {"a": 0, "v": [2]}], "minus": [{"b": 0, "w": [0]}]}')
+    prob.write_text(CONVEX_UNBOUNDED)
     code, out = run_cli(capsys, "solve", "--problem", str(prob), "--method", "mhd")
     assert code == cli.EXIT_UNBOUNDED
     result = json.loads(out)

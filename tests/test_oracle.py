@@ -206,7 +206,9 @@ def _highs_piece_minima(f):
 # f = max(x, 2x): unbounded below
 @example(f=DCForm(1, np.array([[0.0, 1.0], [0.0, 2.0]]), np.array([[0.0, 0.0]])))
 # |x| with a duplicated row and tied offsets, minus a tied pair of pieces
-@example(f=DCForm(1, np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 1.0]]), np.array([[0.0, 0.0], [0.0, 0.0]])))
+@example(
+    f=DCForm(1, np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 1.0]]), np.array([[0.0, 0.0], [0.0, 0.0]]))
+)
 def test_pa_global_min_matches_highs(f):
     out = pa_global_min(f)
     ref = min(_highs_piece_minima(f))
