@@ -21,8 +21,6 @@ or ``ArmijoFailure``).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -42,7 +40,7 @@ from .mgcd import (
 )
 from .mhd import MHDConfig, mhd_run
 from .oracle import pa_global_min
-from .pa import DCForm, evaluate, global_codiff
+from .pa import DCForm, _csv_text, evaluate, global_codiff
 from .problems import WORKED_EXAMPLE_HYPER, WORKED_EXAMPLE_HYPO, generate_pa, worked_example
 
 EXIT_OK = 0
@@ -153,25 +151,7 @@ def _run_method(method: str, f: DCForm, x0: np.ndarray, args):
         )
     else:
         raise InputError(f"unknown method {method!r}")
-    return run.status, run.final_x, run.final_f, run.n_steps, run.to_dict(), _run_csv(run)
-
-
-def _run_csv(run) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "f", "chosen_j", "alpha", "n_projections", "discarded"])
-    for rec in run.records:
-        writer.writerow(
-            [
-                rec.n,
-                repr(rec.f),
-                "" if rec.chosen_j is None else rec.chosen_j,
-                "" if rec.alpha is None else repr(rec.alpha),
-                len(rec.projections),
-                ";".join(map(str, rec.discarded)),
-            ]
-        )
-    return buf.getvalue()
+    return run.status, run.final_x, run.final_f, run.n_steps, run.to_dict(), run.to_csv()
 
 
 def cmd_solve(args) -> int:
@@ -232,23 +212,22 @@ def cmd_compare(args) -> int:
     x0 = _start_point(args, f.d)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     lp = pa_global_min(f)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "status", "iterations", "final_value", "wall_time_s", "oracle_gap"])
+    rows = []
     for method in methods:
         t0 = time.perf_counter()
         try:
             status, _, ff, n_steps, _, _ = _run_method(method, f, x0, args)
         except InputError as exc:
-            writer.writerow([method, f"error: {exc}", "", "", "", ""])
+            rows.append([method, f"error: {exc}", "", "", "", ""])
             continue
         except _SOLVER_ERRORS as exc:
-            writer.writerow([method, f"error: {type(exc).__name__}: {exc}", "", "", "", ""])
+            rows.append([method, f"error: {type(exc).__name__}: {exc}", "", "", "", ""])
             continue
         wall = time.perf_counter() - t0
         gap = abs(ff - lp.value) if lp.bounded else math.inf
-        writer.writerow([method, status, n_steps, repr(float(ff)), f"{wall:.6f}", repr(float(gap))])
-    _emit(buf.getvalue(), args.out)
+        rows.append([method, status, n_steps, repr(float(ff)), f"{wall:.6f}", repr(float(gap))])
+    header = ["method", "status", "iterations", "final_value", "wall_time_s", "oracle_gap"]
+    _emit(_csv_text(header, rows), args.out)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .pa import _merge_duplicates
+from .pa import _merge_duplicates, evaluate, global_codiff
 
 
 class ConvexFn:
@@ -243,36 +243,17 @@ class ConvexPAView(ConvexFn):
     """
 
     def __init__(self, f):
-        from .pa import evaluate, global_codiff
-
         if f.minus.shape[0] != 1:
             raise ValueError("ConvexPAView requires a single min-part piece")
         self._f = f
-        self._evaluate = evaluate
-        self._global_codiff = global_codiff
         self.d = f.d
 
-    @property
-    def dcform(self):
-        return self._f
-
     def value(self, x):
-        return float(self._evaluate(self._f, x))
+        return float(evaluate(self._f, x))
 
     def hypodiff(self, x):
-        gc = self._global_codiff(self._f, np.asarray(x, dtype=float))
+        gc = global_codiff(self._f, np.asarray(x, dtype=float))
         return gc.hypo + gc.hyper[0]
-
-
-def fd_gradient(fn: Callable, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function (test cross-check)."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        g[i] = (fn(x + e) - fn(x - e)) / (2 * step)
-    return g
 
 
 def quadratic(H: np.ndarray, b: np.ndarray, c: float = 0.0) -> SmoothConvex:

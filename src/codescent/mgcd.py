@@ -25,7 +25,7 @@ search along each candidate direction, moving to the best outcome.
 Both are one loop, ``_descend``, with two step rules.  It anchors each
 iterate with ``global_codiff``, every projection goes through
 ``_project``, and the final certificate reuses the projections already
-made at the last iterate.  Both runs serialize to JSON.
+made at the last iterate.  Both runs serialize to JSON and CSV.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .minnorm import min_norm_point
-from .pa import DCForm, GlobalCodiff, evaluate, global_codiff
+from .pa import DCForm, GlobalCodiff, _csv_text, _record_dict, evaluate, global_codiff
 
 
 @dataclass(frozen=True)
@@ -60,13 +60,7 @@ class Certificate:
         return self.ray is None and bool(np.min(self.a_values) >= -self.tol)
 
     def to_dict(self) -> dict:
-        return {
-            "point": list(map(float, self.point)),
-            "a_values": list(map(float, self.a_values)),
-            "tol": self.tol,
-            "is_global": self.is_global,
-            "ray": None if self.ray is None else list(map(float, self.ray)),
-        }
+        return _record_dict(self, is_global=self.is_global)
 
 
 @dataclass
@@ -80,18 +74,6 @@ class IterationRecord:
     alpha: float | None = None
     step_trial_value: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "x": list(map(float, self.x)),
-            "f": self.f,
-            "projections": {str(j): list(map(float, p)) for j, p in self.projections.items()},
-            "discarded": self.discarded,
-            "chosen_j": self.chosen_j,
-            "alpha": self.alpha,
-            "step_trial_value": self.step_trial_value,
-        }
-
 
 @dataclass
 class GlobalRun:
@@ -101,7 +83,8 @@ class GlobalRun:
     ``"inf_stationary"`` (MCD stalled at a non-global stationary point,
     possible only with a finite ``mu``), ``"undecided"`` (MGCD discarded
     every piece, yet its own certificate at the final point does not
-    hold) or ``"iter_limit"``.
+    hold) or ``"iter_limit"``.  ``to_dict`` carries every field and the
+    ``discard_log``; ``to_csv`` has one row per iterate.
     """
 
     method: str
@@ -110,7 +93,6 @@ class GlobalRun:
     status: str = "iter_limit"
     certificate: Certificate | None = None
     ray: np.ndarray | None = None
-    discard_violations: list[tuple[int, int, float]] = field(default_factory=list)
 
     @property
     def discard_log(self) -> list[tuple[int, int]]:
@@ -130,18 +112,17 @@ class GlobalRun:
         return len(self.iterates) - 1
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "status": self.status,
-            "iterates": [list(map(float, x)) for x in self.iterates],
-            "records": [r.to_dict() for r in self.records],
-            "discard_log": [list(t) for t in self.discard_log],
-            "certificate": self.certificate.to_dict() if self.certificate else None,
-            "ray": None if self.ray is None else list(map(float, self.ray)),
-        }
+        return _record_dict(self, discard_log=self.discard_log)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
+
+    def to_csv(self) -> str:
+        rows = (
+            [r.n, r.f, r.chosen_j, r.alpha, len(r.projections), ";".join(map(str, r.discarded))]
+            for r in self.records
+        )
+        return _csv_text(["n", "f", "chosen_j", "alpha", "n_projections", "discarded"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +298,6 @@ def mgcd_run(
     x0,
     tol: float | None = None,
     max_iter: int = 1000,
-    verify_discards: bool = False,
 ) -> GlobalRun:
     """Minimize a piecewise-affine function globally, without line search.
 
@@ -327,26 +307,18 @@ def mgcd_run(
     ``x + v_j / a_j`` of the best remaining index is taken (ties to the
     lowest index).  Once the active set is empty the run ends with
     status ``global_min`` if the certificate at the final point holds,
-    and ``undecided`` otherwise.
-
-    ``verify_discards`` re-projects every previously discarded index at
-    every later iterate and logs offsets below ``-10 * tol`` in
-    ``discard_violations`` (a sound run has none).
+    and ``undecided`` otherwise.  A discarded index never becomes useful
+    again, which is what bounds the number of steps; ``run.discard_log``
+    records when each index went, so callers can check that property.
     """
     active = list(range(f.minus.shape[0]))
 
     def step(gc: GlobalCodiff, rec: IterationRecord, run: GlobalRun, tol: float):
-        seen = {}
-        if verify_discards:
-            seen = _project(gc, [j for _, j in run.discard_log])
-            run.discard_violations += [
-                (rec.n, j, float(p[0])) for j, p in seen.items() if p[0] < -10.0 * tol
-            ]
         rec.projections.update(_project(gc, active))
         rec.discarded += [j for j in active if rec.projections[j][0] >= -tol]
         active[:] = [j for j in active if j not in rec.discarded]
         if not active:
-            run.certificate = _certificate(gc, tol, {**seen, **rec.projections})
+            run.certificate = _certificate(gc, tol, rec.projections)
             run.status = "global_min" if run.certificate.is_global else "undecided"
             return None
         trials = {j: rec.x + rec.projections[j][1:] / rec.projections[j][0] for j in active}

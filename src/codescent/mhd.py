@@ -16,8 +16,6 @@ exact search terminates finitely).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Callable
@@ -27,6 +25,13 @@ import numpy as np
 from .convex import ConvexFn
 from .errors import ArmijoFailure
 from .minnorm import min_norm_point
+from .pa import _csv_text, _record_dict
+
+#: Cap on the Armijo backtracking exponent ``k``.  At the default
+#: ``gamma = 1/2``, ``gamma**60`` is below float64's relative precision
+#: (``2**-52``), so no later trial could show a decrease; with ``gamma``
+#: nearer 1 the cap comes while trial steps are still measurable.
+ARMIJO_MAX_K = 60
 
 
 @dataclass(frozen=True)
@@ -34,17 +39,16 @@ class MHDConfig:
     """Run parameters.
 
     ``sigma`` and ``gamma`` are the Armijo acceptance fraction and
-    backtracking ratio, both in (0, 1).  ``stop_tol`` bounds the norm
-    of the minimum-norm hypodifferential element at termination;
-    ``armijo_max_k`` caps the backtracking exponent (below
-    ``gamma**60`` a descent step is not measurable in float64).
+    backtracking ratio, both in (0, 1); backtracking stops at
+    ``gamma**ARMIJO_MAX_K``.  ``stop_tol`` bounds the norm of the
+    minimum-norm hypodifferential element at termination, and
+    ``max_iter`` the number of steps.
     """
 
     sigma: float = 0.1
     gamma: float = 0.5
     stop_tol: float = 1e-8
     max_iter: int = 1000
-    armijo_max_k: int = 60
 
     def __post_init__(self):
         if not (0.0 < self.sigma < 1.0 and 0.0 < self.gamma < 1.0):
@@ -80,10 +84,6 @@ class MHDTrace:
     status: str = "iter_limit"
 
     @property
-    def iterates(self) -> list[np.ndarray]:
-        return [s.x for s in self.steps]
-
-    @property
     def values(self) -> np.ndarray:
         return np.array([s.f for s in self.steps])
 
@@ -96,38 +96,20 @@ class MHDTrace:
         return self.steps[-1].f
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "steps": [
-                {
-                    "n": s.n,
-                    "x": list(map(float, s.x)),
-                    "f": s.f,
-                    "a": s.a,
-                    "v": list(map(float, s.v)),
-                    "norm": s.norm,
-                    "alpha": s.alpha,
-                    "k": s.k,
-                }
-                for s in self.steps
-            ],
-        }
+        return _record_dict(self)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "f", "norm", "alpha", "k"])
-        for s in self.steps:
-            writer.writerow([s.n, repr(s.f), repr(s.norm), "" if s.alpha is None else repr(s.alpha), "" if s.k is None else s.k])
-        return buf.getvalue()
+        rows = ([s.n, s.f, s.norm, s.alpha, s.k] for s in self.steps)
+        return _csv_text(["n", "f", "norm", "alpha", "k"], rows)
 
 
 def armijo_step(
     f: ConvexFn,
     x: np.ndarray,
+    fx: float,
     v: np.ndarray,
     norm2: float,
     cfg: MHDConfig,
@@ -135,20 +117,20 @@ def armijo_step(
     """Largest ``gamma**k`` with
     ``f(x - gamma**k v) - f(x) <= -gamma**k * sigma * norm2``.
 
+    ``fx`` must be ``f(x)``, which the caller has already computed.
     ``norm2`` must be the squared norm of the full minimum-norm element
     ``(a, v)``, not just of ``v``.  Raises :class:`ArmijoFailure` when
-    ``k`` exceeds the cap, which signals a non-descent direction and
-    hence a broken hypodifferential oracle.
+    ``k`` exceeds ``ARMIJO_MAX_K``, which signals a non-descent
+    direction and hence a broken hypodifferential oracle.
     """
     if norm2 <= 0:
         raise ValueError("norm2 must be positive")
-    fx = f.value(x)
     alpha = 1.0
-    for k in range(cfg.armijo_max_k + 1):
+    for k in range(ARMIJO_MAX_K + 1):
         if f.value(x - alpha * v) - fx <= -alpha * cfg.sigma * norm2:
             return alpha, k
         alpha *= cfg.gamma
-    raise ArmijoFailure(f"no acceptable step within {cfg.armijo_max_k} backtracks")
+    raise ArmijoFailure(f"no acceptable step within {ARMIJO_MAX_K} backtracks")
 
 
 def mhd_run(
@@ -174,10 +156,11 @@ def mhd_run(
     Returns
     -------
     MHDTrace
-        One row per visited iterate, including the final one; status
-        ``"stationary"`` once the minimum-norm element has norm at most
-        ``cfg.stop_tol`` (a global-minimum certificate), else
-        ``"iter_limit"``.
+        One row per visited iterate, including the final one, whose row
+        has no step; status ``"stationary"`` once the minimum-norm
+        element has norm at most ``cfg.stop_tol`` (a global-minimum
+        certificate), else ``"iter_limit"`` or ``"float_floor"`` (see
+        :class:`MHDTrace`).
     """
     cfg = cfg or MHDConfig()
     x = np.array(x0, dtype=float, ndmin=1)
@@ -188,28 +171,26 @@ def mhd_run(
         a, v = float(point[0]), point[1:]
         nrm = float(np.linalg.norm(point))
         fx = f.value(x)
+        alpha = k = status = None
         if nrm <= cfg.stop_tol:
-            trace.steps.append(MHDStep(n, x, fx, a, v, nrm, None, None))
-            trace.status = "stationary"
-            return trace
-        if n == cfg.max_iter:
-            trace.steps.append(MHDStep(n, x, fx, a, v, nrm, None, None))
-            trace.status = "iter_limit"
-            return trace
-        if exact_line_search is None:
+            status = "stationary"
+        elif n == cfg.max_iter:
+            status = "iter_limit"
+        elif exact_line_search is not None:
+            alpha = float(exact_line_search(x, v))
+        else:
             try:
-                alpha, k = armijo_step(f, x, v, nrm * nrm, cfg)
+                alpha, k = armijo_step(f, x, fx, v, nrm * nrm, cfg)
             except ArmijoFailure:
                 # the full-step decrease the test demands is below the
                 # float64 resolution of f: numerically stationary, not a
                 # broken oracle
-                if cfg.sigma * nrm * nrm <= 64.0 * np.finfo(float).eps * max(1.0, abs(fx)):
-                    trace.steps.append(MHDStep(n, x, fx, a, v, nrm, None, None))
-                    trace.status = "float_floor"
-                    return trace
-                raise
-        else:
-            alpha, k = float(exact_line_search(x, v)), None
+                if cfg.sigma * nrm * nrm > 64.0 * np.finfo(float).eps * max(1.0, abs(fx)):
+                    raise
+                status = "float_floor"
         trace.steps.append(MHDStep(n, x, fx, a, v, nrm, alpha, k))
+        if status is not None:
+            trace.status = status
+            return trace
         x = x - alpha * v
     return trace

@@ -47,6 +47,7 @@ from .pa import DCForm
 
 _PIVOT_TOL = 1e-9
 _TIE_TOL = 1e-12
+_MAX_PIVOTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T -= np.outer(factors, T[row])
 
 
-def solve_lp(T: np.ndarray, basis: np.ndarray, c: np.ndarray, max_iter: int = 100_000):
+def solve_lp(T: np.ndarray, basis: np.ndarray, c: np.ndarray):
     """Minimize ``c @ z`` over ``z >= 0`` from a feasible basis.
 
     ``T`` is a canonical tableau ``[B^-1 A | B^-1 b]``, one row per
@@ -106,14 +107,14 @@ def solve_lp(T: np.ndarray, basis: np.ndarray, c: np.ndarray, max_iter: int = 10
     and ``basis`` in place, so the next call starts from this call's
     final basis.  Returns ``("optimal", z, None)`` or
     ``("unbounded", z, ray)`` where ``z`` is the basic feasible point at
-    which the unbounded ray starts.  Raises ``Degenerate`` on a
-    pivot-cap trip.
+    which the unbounded ray starts.  Raises ``Degenerate`` after
+    ``_MAX_PIVOTS`` pivots.
     """
     n = T.shape[1] - 1
     cost = np.append(c, 0.0)
     cost -= cost[basis] @ T
     ray = None
-    for _ in range(max_iter):
+    for _ in range(_MAX_PIVOTS):
         entering = np.flatnonzero(cost[:n] < -_PIVOT_TOL)
         if entering.size == 0:
             break

@@ -19,8 +19,10 @@ recursively to an expression tree of affine atoms.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -72,6 +74,43 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
+
+
+# ---------------------------------------------------------------------------
+# run-record serialization
+
+
+def _record_dict(record, **extra) -> dict:
+    """JSON-ready dict of the dataclass ``record``: its fields in order,
+    then the derived values in ``extra``.
+
+    Arrays become lists, numpy scalars Python numbers, tuples lists and
+    dict keys strings; a nested record is encoded by its own ``to_dict``
+    when it has one, else in the same way.
+    """
+
+    def plain(v):
+        if hasattr(v, "to_dict"):
+            return v.to_dict()
+        if is_dataclass(v):
+            return _record_dict(v)
+        if isinstance(v, (np.ndarray, np.generic)):
+            return v.tolist()
+        if isinstance(v, dict):
+            return {str(k): plain(u) for k, u in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [plain(u) for u in v]
+        return v
+
+    items = {f.name: getattr(record, f.name) for f in fields(record)}
+    return {k: plain(v) for k, v in {**items, **extra}.items()}
+
+
+def _csv_text(header, rows) -> str:
+    """``header`` and then ``rows`` as CSV text; None is an empty cell."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,13 @@ GEN_RHO = 2
 #: integer offsets are drawn from [-GEN_OFFSET, GEN_OFFSET]
 GEN_OFFSET = 5
 
+#: ``max_quadratics`` draws Hessian eigenvalues uniformly in MAXQ_EIG_RANGE,
+#: and piece centers, value offsets and the start up to the bounds below
+MAXQ_EIG_RANGE = (2.0, 8.0)
+MAXQ_CENTER_RADIUS = 0.3
+MAXQ_OFFSET_MAX = 0.3
+MAXQ_START_RADIUS = 0.4
+
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
@@ -159,15 +166,7 @@ WORKED_EXAMPLE_HYPER = frozenset({
 })
 
 
-def max_quadratics(
-    seed: int,
-    d: int = 10,
-    k: int = 5,
-    eig_range: tuple[float, float] = (2.0, 8.0),
-    center_radius: float = 0.3,
-    offset_max: float = 0.3,
-    start_radius: float = 0.4,
-) -> tuple[MaxOf, float, np.ndarray]:
+def max_quadratics(seed: int, d: int = 10, k: int = 5) -> tuple[MaxOf, float, np.ndarray]:
     """Max of ``k`` positive-definite quadratics with known curvature.
 
     Returns ``(objective, L, x0)`` where ``L`` is the exact largest
@@ -182,14 +181,14 @@ def max_quadratics(
     L = 0.0
     for _ in range(k):
         Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        eigs = rng.uniform(eig_range[0], eig_range[1], size=d)
+        eigs = rng.uniform(MAXQ_EIG_RANGE[0], MAXQ_EIG_RANGE[1], size=d)
         H = (Q * eigs) @ Q.T
         H = 0.5 * (H + H.T)
         L = max(L, float(np.linalg.eigvalsh(H).max()))
         center = rng.normal(size=d)
-        center *= rng.uniform(0, center_radius) / np.linalg.norm(center)
-        b = rng.uniform(0, offset_max)
+        center *= rng.uniform(0, MAXQ_CENTER_RADIUS) / np.linalg.norm(center)
+        b = rng.uniform(0, MAXQ_OFFSET_MAX)
         children.append(quadratic(H, -H @ center, 0.5 * center @ H @ center + b))
     x0 = rng.normal(size=d)
-    x0 *= rng.uniform(0, start_radius) / np.linalg.norm(x0)
+    x0 *= rng.uniform(0, MAXQ_START_RADIUS) / np.linalg.norm(x0)
     return MaxOf(children), L, x0

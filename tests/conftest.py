@@ -8,7 +8,7 @@ the convex minimizer delegates to SciPy's SLSQP on the epigraph.
 import numpy as np
 import pytest
 
-from codescent import pa
+from codescent import pa, project_piece
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +83,25 @@ def slsqp_min_of_max(children, d, starts):
         if best is None or res.fun < best[0]:
             best = (float(res.fun), res.x[:-1])
     return best
+
+
+# ---------------------------------------------------------------------------
+# discard persistence, recomputed from a finished MGCD run
+
+
+def discard_violations(f, run):
+    """``(m, j, a_j)`` for each piece ``j`` discarded at iteration ``n``
+    whose offset ``a_j(x_m)`` at a later iterate ``m > n`` is below
+    ``-10 tol``.  MGCD's finite termination rests on there being none:
+    a discarded piece never becomes useful again."""
+    bound = -10.0 * run.certificate.tol
+    out = []
+    for n, j in run.discard_log:
+        for m in range(n + 1, len(run.iterates)):
+            a = float(project_piece(f, run.iterates[m], j)[0])
+            if a < bound:
+                out.append((m, j, a))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from codescent import (
 )
 from codescent.mhd import MHDConfig
 from codescent.problems import WORKED_EXAMPLE_HYPER, WORKED_EXAMPLE_HYPO
-from conftest import project_origin_small_hull, random_expr, slsqp_min_of_max
+from conftest import discard_violations, project_origin_small_hull, random_expr, slsqp_min_of_max
 
 
 def report(n, detail):
@@ -56,13 +56,13 @@ def instance_grid():
 
 @pytest.fixture(scope="module")
 def mgcd_batch():
-    """Criterion-2 runs with test-build discard re-projection enabled."""
+    """Criterion-2 runs: (f, x0, run, oracle outcome) per grid instance."""
     t0 = time.perf_counter()
     batch = []
     for d, l, s, seed in instance_grid():
         f = generate_pa(seed, d, l, s)
         x0 = random_start(seed, d)
-        run = mgcd_run(f, x0, max_iter=100_000, verify_discards=True)
+        run = mgcd_run(f, x0, max_iter=100_000)
         oracle = pa_global_min(f)
         batch.append((f, x0, run, oracle))
     elapsed = time.perf_counter() - t0
@@ -212,7 +212,7 @@ def test_criterion_6_exactness_identity():
 
 def test_criterion_7_discard_persistence(mgcd_batch):
     batch, _ = mgcd_batch
-    violations = sum(len(run.discard_violations) for _, _, run, _ in batch)
+    violations = sum(len(discard_violations(f, run)) for f, _, run, _ in batch)
     assert violations == 0
     total = sum(len(run.discard_log) for _, _, run, _ in batch)
     report(7, f"zero violations re-projecting {total} discarded indices "

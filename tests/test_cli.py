@@ -103,6 +103,24 @@ def test_solve_csv_format(example_file, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,f,chosen_j,alpha,n_projections,discarded"
     assert len(lines) >= 3
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ["0", "1"]
+    assert [float(r[1]) for r in rows] == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert [r[2:] for r in rows] == [["0", "", "8", "1;3;4;5;6;7"], ["", "", "2", "0;2"]]
+
+    # MHD on f = max(4x - 4, -4x - 4, 4y + 3, -4y) + 2 + y, exact line search
+    code, out = run_cli(
+        capsys, "solve", "--generate", "2,4,1,11", "--method", "mhd", "--x0", "3,3", "--format", "csv"
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "n,f,norm,alpha,k"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ["0", "1", "2"]
+    assert [float(r[1]) for r in rows] == pytest.approx([20.0, 136.0 / 27.0, 3.125], abs=1e-12)
+    assert float(rows[-1][2]) <= 1e-8
+    assert [r[3] == "" for r in rows] == [False, False, True]
+    assert [r[4] for r in rows] == ["", "", ""]
 
 
 def test_certify_global_and_not(example_file, capsys):

@@ -14,7 +14,17 @@ from codescent import (
     quadratic,
     worked_example,
 )
-from codescent.convex import fd_gradient
+
+
+def fd_gradient(fn, x, step=1e-6):
+    """Central-difference gradient of a scalar function."""
+    x = np.asarray(x, dtype=float)
+    g = np.zeros_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = step
+        g[i] = (fn(x + e) - fn(x - e)) / (2 * step)
+    return g
 
 
 def sq_half():  # ||x||^2 / 2 on R^2

@@ -21,6 +21,7 @@ from codescent import (
     theta_lower_bound,
     worked_example,
 )
+from conftest import discard_violations
 
 X0 = np.array([2.0, 2.0])
 EXACT_PROJ = np.array([-1.0 / 9.0, 2.0 / 9.0, 2.0 / 9.0])
@@ -264,9 +265,9 @@ def test_mgcd_discard_persistence_and_termination_bound():
     for d, l, s, seed in instance_grid():
         f = generate_pa(seed, d, l, s)
         x0 = random_start(seed, d)
-        run = mgcd_run(f, x0, verify_discards=True, max_iter=100000)
+        run = mgcd_run(f, x0, max_iter=100000)
         assert run.status == "global_min"
-        assert run.discard_violations == []
+        assert discard_violations(f, run) == []
         js = [j for _, j in run.discard_log]
         assert sorted(js) == list(range(s))  # each index discarded exactly once
         fstar = pa_global_min(f).value
@@ -370,3 +371,46 @@ def test_global_run_json_roundtrip():
         assert evaluate(f, np.array(rec["x"])) == pytest.approx(rec["f"], abs=1e-12)
     assert data["certificate"]["is_global"]
     assert [tuple(t) for t in data["discard_log"]] == run.discard_log
+
+
+RUN_KEYS = {"method", "status", "iterates", "records", "discard_log", "certificate", "ray"}
+RECORD_KEYS = {"n", "x", "f", "projections", "discarded", "chosen_j", "alpha", "step_trial_value"}
+CERT_KEYS = {"point", "a_values", "tol", "is_global", "ray"}
+
+
+@pytest.mark.parametrize(
+    "method, discard_log, discarded, alpha, a_values",
+    [
+        (
+            mgcd_run,
+            [[0, 1], [0, 3], [0, 4], [0, 5], [0, 6], [0, 7], [1, 0], [1, 2]],
+            [[1, 3, 4, 5, 6, 7], [0, 2]],
+            None,
+            [0, 0, 0, 0, 0, 1 / 9, 0, 1 / 9],
+        ),
+        (mcd_run, [], [[], []], 9.0, [0, 0, 0, 0, 0, 1 / 9, 0, 1 / 9]),
+    ],
+    ids=["mgcd", "mcd"],
+)
+def test_global_run_json_pinned(method, discard_log, discarded, alpha, a_values):
+    data = json.loads(method(worked_example(), X0).to_json())
+    assert set(data) == RUN_KEYS
+    assert (data["method"], data["status"], data["ray"]) == (method.__name__[:-4], "global_min", None)
+    assert np.allclose(data["iterates"], [[2.0, 2.0], [0.0, 0.0]], rtol=0.0, atol=1e-12)
+    assert data["discard_log"] == discard_log
+
+    first, last = data["records"]
+    assert set(first) == set(last) == RECORD_KEYS
+    assert [first["n"], last["n"]] == [0, 1]
+    assert [first["discarded"], last["discarded"]] == discarded
+    assert (first["chosen_j"], last["chosen_j"], last["alpha"]) == (0, None, None)
+    assert first["alpha"] == (None if alpha is None else pytest.approx(alpha, abs=1e-12))
+    assert first["f"] == 1.0 and first["step_trial_value"] == pytest.approx(0.0, abs=1e-12)
+    assert sorted(first["projections"]) == [str(j) for j in range(8)]
+    assert np.allclose(first["projections"]["0"], EXACT_PROJ, rtol=0.0, atol=1e-12)
+
+    cert = data["certificate"]
+    assert set(cert) == CERT_KEYS
+    assert (cert["tol"], cert["is_global"], cert["ray"]) == (1e-9, True, None)
+    assert np.allclose(cert["point"], [0.0, 0.0], rtol=0.0, atol=1e-12)
+    assert np.allclose(cert["a_values"], a_values, rtol=0.0, atol=1e-12)

@@ -28,27 +28,27 @@ def x_squared():
 
 def test_armijo_hand_computed_sigma_half():
     # k=0: f(-1)-f(1) = 0 > -2; k=1: f(0)-f(1) = -1 <= -1
-    alpha, k = armijo_step(x_squared(), np.array([1.0]), np.array([2.0]), 4.0, MHDConfig(sigma=0.5, gamma=0.5))
+    alpha, k = armijo_step(x_squared(), np.array([1.0]), 1.0, np.array([2.0]), 4.0, MHDConfig(sigma=0.5, gamma=0.5))
     assert (alpha, k) == (0.5, 1)
 
 
 def test_armijo_hand_computed_sigma_tenth():
     # k=0: 0 <= -0.4 is false; k=1: -1 <= -0.2 holds
-    alpha, k = armijo_step(x_squared(), np.array([1.0]), np.array([2.0]), 4.0, MHDConfig(sigma=0.1, gamma=0.5))
+    alpha, k = armijo_step(x_squared(), np.array([1.0]), 1.0, np.array([2.0]), 4.0, MHDConfig(sigma=0.1, gamma=0.5))
     assert (alpha, k) == (0.5, 1)
 
 
 def test_armijo_accepts_full_step():
     # f(0)-f(1) = -1 <= -0.1: already true at k=0
-    alpha, k = armijo_step(x_squared(), np.array([1.0]), np.array([1.0]), 1.0, MHDConfig(sigma=0.1, gamma=0.5))
+    alpha, k = armijo_step(x_squared(), np.array([1.0]), 1.0, np.array([1.0]), 1.0, MHDConfig(sigma=0.1, gamma=0.5))
     assert (alpha, k) == (1.0, 0)
 
 
 def test_armijo_failure_on_ascent_direction():
     with pytest.raises(ArmijoFailure):
-        armijo_step(x_squared(), np.array([1.0]), np.array([-2.0]), 4.0, MHDConfig())
+        armijo_step(x_squared(), np.array([1.0]), 1.0, np.array([-2.0]), 4.0, MHDConfig())
     with pytest.raises(ValueError):
-        armijo_step(x_squared(), np.array([1.0]), np.array([2.0]), 0.0, MHDConfig())
+        armijo_step(x_squared(), np.array([1.0]), 1.0, np.array([2.0]), 0.0, MHDConfig())
 
 
 # ---------------------------------------------------------------------------
