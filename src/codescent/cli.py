@@ -120,38 +120,35 @@ def _start_point(args, d: int) -> np.ndarray:
 def _run_method(method: str, f: DCForm, x0: np.ndarray, args):
     """Run one method; returns (status, final_x, final_f, n_steps, trace_dict, trace_csv)."""
     tol = args.tol
-    if method == "mgcd":
-        run = mgcd_run(f, x0, tol=tol, max_iter=args.max_iter)
-    elif method == "mcd":
-        run = mcd_run(f, x0, mu=args.mu, tol=tol, max_iter=args.max_iter)
-    elif method == "mhd":
-        if f.minus.shape[0] != 1:
-            raise InputError("--method mhd needs a convex problem (a single min-part piece)")
-        cfg = MHDConfig(stop_tol=tol or 1e-8, max_iter=args.max_iter)
-        # the ray test takes squared-norm units; MHD's stop_tol is a norm
-        ray = _unbounded_ray(f, cfg.stop_tol**2)
-        if ray is not None:
-            return "unbounded_below", x0, float(evaluate(f, x0)), 0, {
-                "status": "unbounded_below",
-                "ray": list(map(float, ray)),
-            }, ""
+    try:  # the runs reject arguments such as max_iter < 0 with ValueError
+        if method == "mgcd":
+            run = mgcd_run(f, x0, tol=tol, max_iter=args.max_iter)
+        elif method == "mcd":
+            run = mcd_run(f, x0, mu=args.mu, tol=tol, max_iter=args.max_iter)
+        elif method == "mhd":
+            cfg = MHDConfig(stop_tol=tol or 1e-8, max_iter=args.max_iter)
+        else:
+            raise InputError(f"unknown method {method!r}")
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    if method != "mhd":
+        return run.status, run.final_x, run.final_f, run.n_steps, run.to_dict(), run.to_csv()
+    if f.minus.shape[0] != 1:
+        raise InputError("--method mhd needs a convex problem (a single min-part piece)")
+    # the ray test takes squared-norm units; MHD's stop_tol is a norm
+    ray = _unbounded_ray(f, cfg.stop_tol**2)
+    if ray is not None:
+        return "unbounded_below", x0, float(evaluate(f, x0)), 0, {
+            "status": "unbounded_below",
+            "ray": list(map(float, ray)),
+        }, ""
 
-        def exact_ls(x, v):
-            return line_search_pa(f, x, v).alpha
+    def exact_ls(x, v):
+        return line_search_pa(f, x, v).alpha
 
-        trace = mhd_run(ConvexPAView(f), x0, cfg, exact_line_search=exact_ls)
-        status = "global_min" if trace.status == "stationary" else trace.status
-        return (
-            status,
-            trace.final_x,
-            trace.final_f,
-            len(trace.steps) - 1,
-            trace.to_dict(),
-            trace.to_csv(),
-        )
-    else:
-        raise InputError(f"unknown method {method!r}")
-    return run.status, run.final_x, run.final_f, run.n_steps, run.to_dict(), run.to_csv()
+    trace = mhd_run(ConvexPAView(f), x0, cfg, exact_line_search=exact_ls)
+    status = "global_min" if trace.status == "stationary" else trace.status
+    return status, trace.final_x, trace.final_f, len(trace.steps) - 1, trace.to_dict(), trace.to_csv()
 
 
 def cmd_solve(args) -> int:

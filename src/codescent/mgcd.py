@@ -276,6 +276,8 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step)
     ``max_iter`` steps the run ends with a bare record of the last point
     and status ``iter_limit``.
     """
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     x = np.array(x0, dtype=float, ndmin=1)
     if tol is None:
         tol = 1e-9 * max(1.0, abs(evaluate(f, x)))

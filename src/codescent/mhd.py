@@ -55,6 +55,8 @@ class MHDConfig:
             raise ValueError("sigma and gamma must lie in (0, 1)")
         if self.stop_tol <= 0:
             raise ValueError("stop_tol must be positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
 
 
 @dataclass
@@ -193,4 +195,3 @@ def mhd_run(
             trace.status = status
             return trace
         x = x - alpha * v
-    return trace

@@ -13,7 +13,9 @@ global descent method.
 known gradient-Lipschitz constant for the convex-case instrumentation.
 
 The RNG is PCG64 (``numpy.random.Generator``), so identical seeds give
-bit-identical instances on every platform.
+bit-identical instances on every platform.  Min-part gradients are drawn
+in int64 batches with the stream of one draw per row (int8 and int16
+draws buffer bits differently, which would change every instance).
 """
 
 from __future__ import annotations
@@ -51,6 +53,20 @@ def _cross_scale(d: int) -> int:
     return int(math.ceil(GEN_RHO * math.sqrt(d))) + 1
 
 
+def _short_gradient(rng: np.random.Generator, d: int) -> np.ndarray:
+    # the first w ~ U{-GEN_RHO..GEN_RHO}^d with ||w||^2 <= GEN_RHO^2, drawn 4 to
+    # 4096 rows at a time; a batch with a hit is redrawn from its start to that row
+    n = 4
+    while True:
+        state = rng.bit_generator.state
+        rows = rng.integers(-GEN_RHO, GEN_RHO + 1, size=(n, d))
+        hits = np.flatnonzero((rows * rows).sum(axis=1) <= GEN_RHO * GEN_RHO)
+        if hits.size:
+            rng.bit_generator.state = state
+            return rng.integers(-GEN_RHO, GEN_RHO + 1, size=(hits[0] + 1, d))[-1]
+        n = min(2 * n, 4096)
+
+
 def generate_pa(seed: int, d: int, l: int, s: int, scale: float = 1.0) -> DCForm:
     """Draw a bounded-below piecewise-affine instance.
 
@@ -63,7 +79,11 @@ def generate_pa(seed: int, d: int, l: int, s: int, scale: float = 1.0) -> DCForm
         ``2 d`` are the cross-polytope pieces that force coercivity)
         and number of min-part pieces.
     scale : float
-        Uniform scaling applied to all offsets and gradients.
+        Uniform scaling applied to all offsets and gradients; finite
+        and positive.
+
+    Min-part gradients are drawn by rejection from {-2..2}^d in batches
+    whose int64 stream, and so the instance, is that of one row per draw.
 
     Raises
     ------
@@ -75,6 +95,8 @@ def generate_pa(seed: int, d: int, l: int, s: int, scale: float = 1.0) -> DCForm
         raise ValueError("need d >= 1 and s >= 1")
     if l < 2 * d:
         raise ValueError(f"need l >= 2 d = {2 * d} for the coercive core")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"need a finite scale > 0, got {scale}")
     rng = _rng(seed)
     c = _cross_scale(d)
 
@@ -90,12 +112,8 @@ def generate_pa(seed: int, d: int, l: int, s: int, scale: float = 1.0) -> DCForm
 
     minus = np.zeros((s, d + 1))
     for j in range(s):
-        while True:
-            w = rng.integers(-GEN_RHO, GEN_RHO + 1, size=d)
-            if w @ w <= GEN_RHO * GEN_RHO:
-                break
+        minus[j, 1:] = _short_gradient(rng, d)
         minus[j, 0] = rng.integers(-GEN_OFFSET, GEN_OFFSET + 1)
-        minus[j, 1:] = w
 
     f = DCForm(d, scale * plus, scale * minus)
     outcome = pa_global_min(f)

@@ -104,6 +104,16 @@ def discard_violations(f, run):
     return out
 
 
+def instance_grid(n_seeds=10):
+    """The acceptance grid: d in 2..5, l <= 10, s <= 6, ``n_seeds`` seeds
+    each (200 bounded-below instances at the default 10)."""
+    for d in (2, 3, 4, 5):
+        lo = 2 * d
+        for (l, s) in ((lo, 1), (lo, 2), (min(lo + 2, 10), 3), (min(lo + 3, 10), 4), (10, 6)):
+            for seed in range(n_seeds):
+                yield d, l, s, (seed * 100003 + d * 1009 + l * 101 + s) % 2**31
+
+
 # ---------------------------------------------------------------------------
 # random expression trees
 

@@ -33,7 +33,13 @@ from codescent import (
 )
 from codescent.mhd import MHDConfig
 from codescent.problems import WORKED_EXAMPLE_HYPER, WORKED_EXAMPLE_HYPO
-from conftest import discard_violations, project_origin_small_hull, random_expr, slsqp_min_of_max
+from conftest import (
+    discard_violations,
+    instance_grid,
+    project_origin_small_hull,
+    random_expr,
+    slsqp_min_of_max,
+)
 
 
 def report(n, detail):
@@ -43,15 +49,6 @@ def report(n, detail):
 def exact_int_set(rows):
     assert np.allclose(rows, np.round(rows), atol=1e-12)
     return {tuple(int(round(c)) for c in row) for row in rows}
-
-
-def instance_grid():
-    """200 bounded-below instances: d in 2..5, l <= 10, s <= 6, 10 seeds each."""
-    for d in (2, 3, 4, 5):
-        lo = 2 * d
-        for (l, s) in ((lo, 1), (lo, 2), (min(lo + 2, 10), 3), (min(lo + 3, 10), 4), (10, 6)):
-            for seed in range(10):
-                yield d, l, s, (seed * 100003 + d * 1009 + l * 101 + s) % 2**31
 
 
 @pytest.fixture(scope="module")

@@ -95,6 +95,14 @@ def test_solve_iter_limit_exit_code(example_file, capsys):
     assert json.loads(out)["status"] == "iter_limit"
 
 
+@pytest.mark.parametrize("method", ["mgcd", "mcd", "mhd"])
+def test_solve_negative_max_iter_is_input_error(capsys, method):
+    argv = ["solve", "--generate", "2,4,1,11", "--method", method, "--max-iter", "-1"]
+    code = main(argv)
+    assert code == cli.EXIT_INPUT == 4
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: max_iter must be >= 0"
+
+
 def test_solve_csv_format(example_file, capsys):
     code, out = run_cli(
         capsys, "solve", "--problem", example_file, "--x0", "2,2", "--format", "csv"
@@ -188,6 +196,9 @@ def test_input_errors(tmp_path, capsys):
     assert run_cli(capsys, "solve", "--problem", str(tmp_path / "nope.json"))[0] == 4
     assert run_cli(capsys, "solve")[0] == 4
     assert run_cli(capsys, "solve", "--generate", "2,5,3")[0] == 4  # missing seed
+    for scale in ("0", "-1", "nan", "inf"):
+        assert main(["solve", "--generate", "2,4,1,11", f"--scale={scale}"]) == 4
+        assert "generation failed: need a finite scale > 0" in capsys.readouterr().err
     prob = tmp_path / "p.json"
     prob.write_text(worked_example().to_json())
     assert run_cli(capsys, "solve", "--problem", str(prob), "--x0", "1,2,3")[0] == 4

@@ -21,21 +21,13 @@ from codescent import (
     theta_lower_bound,
     worked_example,
 )
-from conftest import discard_violations
+from conftest import discard_violations, instance_grid
 
 X0 = np.array([2.0, 2.0])
 EXACT_PROJ = np.array([-1.0 / 9.0, 2.0 / 9.0, 2.0 / 9.0])
 
 ABS_X = DCForm(1, np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([[0.0, 0.0]]))
 LINE = DCForm(1, np.array([[0.0, 1.0]]), np.array([[0.0, 0.0]]))  # f(x) = x
-
-
-def instance_grid():
-    for d in (2, 3, 4, 5):
-        lo = 2 * d
-        for (l, s) in ((lo, 1), (lo, 2), (min(lo + 2, 10), 3), (min(lo + 3, 10), 4), (10, 6)):
-            for seed in range(3):
-                yield d, l, s, (seed * 100003 + d * 1009 + l * 101 + s) % 2**31
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +239,7 @@ def test_mgcd_status_follows_its_certificate():
 
 
 def test_mgcd_strict_decay_inequality():
-    for d, l, s, seed in instance_grid():
+    for d, l, s, seed in instance_grid(3):
         f = generate_pa(seed, d, l, s)
         x0 = random_start(seed, d)
         run = mgcd_run(f, x0)
@@ -262,7 +254,7 @@ def test_mgcd_strict_decay_inequality():
 
 
 def test_mgcd_discard_persistence_and_termination_bound():
-    for d, l, s, seed in instance_grid():
+    for d, l, s, seed in instance_grid(3):
         f = generate_pa(seed, d, l, s)
         x0 = random_start(seed, d)
         run = mgcd_run(f, x0, max_iter=100000)
@@ -277,7 +269,7 @@ def test_mgcd_discard_persistence_and_termination_bound():
 
 
 def test_mgcd_certificate_oracle_soundness():
-    for d, l, s, seed in list(instance_grid())[::5]:
+    for d, l, s, seed in list(instance_grid(3))[::5]:
         f = generate_pa(seed, d, l, s)
         run = mgcd_run(f, random_start(seed, d))
         assert run.status == "global_min"
@@ -325,7 +317,7 @@ def test_mcd_unbounded_line():
 
 
 def test_mcd_dominates_explicit_step():
-    for d, l, s, seed in instance_grid():
+    for d, l, s, seed in instance_grid(3):
         f = generate_pa(seed, d, l, s)
         x0 = random_start(seed, d)
         run = mcd_run(f, x0, max_iter=10000)
@@ -343,7 +335,7 @@ def test_mcd_dominates_explicit_step():
 
 
 def test_mgcd_certificate_matches_check_global_opt():
-    for d, l, s, seed in instance_grid():
+    for d, l, s, seed in instance_grid(3):
         f = generate_pa(seed, d, l, s)
         run = mgcd_run(f, random_start(seed, d))
         _, cert = check_global_opt(f, run.final_x)
@@ -414,3 +406,11 @@ def test_global_run_json_pinned(method, discard_log, discarded, alpha, a_values)
     assert (cert["tol"], cert["is_global"], cert["ray"]) == (1e-9, True, None)
     assert np.allclose(cert["point"], [0.0, 0.0], rtol=0.0, atol=1e-12)
     assert np.allclose(cert["a_values"], a_values, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("runner", [mgcd_run, mcd_run])
+def test_negative_max_iter_rejected(runner):
+    # range(max_iter + 1) would be empty and the run would return None
+    with pytest.raises(ValueError, match="max_iter must be >= 0"):
+        runner(worked_example(), X0, max_iter=-1)
+    assert runner(worked_example(), X0, max_iter=0).status == "iter_limit"

@@ -125,3 +125,11 @@ def test_trace_serialization_roundtrip():
     assert len(lines) == len(trace.steps) + 1
     # full-precision round trip of the value column
     assert float(lines[1].split(",")[1]) == trace.steps[0].f
+
+
+def test_negative_max_iter_rejected():
+    # an empty trace has no final point
+    with pytest.raises(ValueError, match="max_iter must be >= 0"):
+        mhd_run(x_squared(), [1.0], MHDConfig(max_iter=-1))
+    trace = mhd_run(x_squared(), [1.0], MHDConfig(max_iter=0))
+    assert trace.status == "iter_limit" and len(trace.steps) == 1
