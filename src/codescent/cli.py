@@ -12,10 +12,10 @@ Subcommands
 Machine output goes to stdout (or ``--out``); progress and human
 narration go to stderr.  Exit codes: 0 success / certified global
 minimum, 1 failed verification, a negative certificate or an
-``undecided`` run, 2 unbounded below, 3 iteration limit, 4 input
-error, 5 stalled at a non-global inf-stationary point (MCD with finite
-``mu``), 6 a numerical solver failed (``NoConvergence``, ``Degenerate``
-or ``ArmijoFailure``).
+``undecided`` run, 2 unbounded below, 3 iteration limit, 4 input or
+usage error, 5 stalled at a non-global inf-stationary point (MCD with
+finite ``mu``), 6 a numerical solver failed (``NoConvergence``,
+``Degenerate`` or ``ArmijoFailure``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .mgcd import (
 )
 from .mhd import MHDConfig, mhd_run
 from .oracle import pa_global_min
-from .pa import DCForm, _csv_text, evaluate, global_codiff
+from .pa import DCForm, _csv_text, _default_tol, evaluate, global_codiff
 from .problems import WORKED_EXAMPLE_HYPER, WORKED_EXAMPLE_HYPO, generate_pa, worked_example
 
 EXIT_OK = 0
@@ -119,14 +119,13 @@ def _start_point(args, d: int) -> np.ndarray:
 
 def _run_method(method: str, f: DCForm, x0: np.ndarray, args):
     """Run one method; returns (status, final_x, final_f, n_steps, trace_dict, trace_csv)."""
-    tol = args.tol
     try:  # the runs reject arguments such as max_iter < 0 with ValueError
         if method == "mgcd":
-            run = mgcd_run(f, x0, tol=tol, max_iter=args.max_iter)
+            run = mgcd_run(f, x0, tol=args.tol, max_iter=args.max_iter)
         elif method == "mcd":
-            run = mcd_run(f, x0, mu=args.mu, tol=tol, max_iter=args.max_iter)
+            run = mcd_run(f, x0, mu=args.mu, tol=args.tol, max_iter=args.max_iter)
         elif method == "mhd":
-            cfg = MHDConfig(stop_tol=tol or 1e-8, max_iter=args.max_iter)
+            cfg = MHDConfig(stop_tol=args.tol or 1e-8, max_iter=args.max_iter)
         else:
             raise InputError(f"unknown method {method!r}")
     except ValueError as exc:
@@ -135,8 +134,7 @@ def _run_method(method: str, f: DCForm, x0: np.ndarray, args):
         return run.status, run.final_x, run.final_f, run.n_steps, run.to_dict(), run.to_csv()
     if f.minus.shape[0] != 1:
         raise InputError("--method mhd needs a convex problem (a single min-part piece)")
-    # the ray test takes squared-norm units; MHD's stop_tol is a norm
-    ray = _unbounded_ray(f, cfg.stop_tol**2)
+    ray = _unbounded_ray(f)
     if ray is not None:
         return "unbounded_below", x0, float(evaluate(f, x0)), 0, {
             "status": "unbounded_below",
@@ -162,7 +160,8 @@ def cmd_solve(args) -> int:
     verified = None
     if status == "global_min":
         lp = pa_global_min(f)
-        verified = lp.bounded and abs(ff - lp.value) <= 1e-6
+        tol = _default_tol(global_codiff(f, x0), evaluate(f, x0)) if args.tol is None else args.tol
+        verified = lp.bounded and abs(ff - lp.value) <= tol
         if not verified:
             _progress(f"VERIFICATION FAILED: claimed {ff}, oracle {lp.value if lp.bounded else 'unbounded'}")
 
@@ -192,7 +191,7 @@ def cmd_certify(args) -> int:
     point = _parse_floats(args.point)
     if point.size != f.d:
         raise InputError(f"--point has {point.size} entries, problem dimension is {f.d}")
-    is_global, cert = check_global_opt(f, point, tol=args.tol or 1e-9)
+    is_global, cert = check_global_opt(f, point, tol=args.tol)
     if cert.ray is not None:
         verdict, code = "UNBOUNDED", EXIT_UNBOUNDED
     else:
@@ -290,62 +289,56 @@ def cmd_reproduce_example(args) -> int:
     return EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse exits 2, which means "unbounded below" here
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    fmt = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    parser = _Parser(
         prog="codescent",
         description="Codifferential descent methods for piecewise-affine and convex minimization.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_problem_flags(p, with_method=True):
-        p.add_argument("--problem", help="problem file (DCForm JSON)")
-        p.add_argument("--generate", metavar="d,l,s,seed", help="draw a reproducible instance")
-        p.add_argument("--scale", type=float, default=1.0, help="scaling for --generate")
-        p.add_argument("--x0", help="comma-separated start point (origin if omitted)")
-        p.add_argument("--tol", type=float, default=None, help="certificate tolerance")
-        p.add_argument("--max-iter", type=int, default=1000, dest="max_iter", help="iteration cap")
-        p.add_argument("--mu", type=float, default=math.inf, help="hyper-offset cutoff (mcd only)")
-        p.add_argument("--out", help="write machine output to this path instead of stdout")
-        if with_method:
-            p.add_argument("--method", choices=("mhd", "mcd", "mgcd"), default="mgcd")
-
-    fmt = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-
-    p_solve = sub.add_parser("solve", help="minimize a problem and emit the trace", **fmt)
-    add_problem_flags(p_solve)
-    p_solve.add_argument("--format", choices=("json", "csv"), default="json")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_cert = sub.add_parser("certify", help="global-optimality certificate at a point", **fmt)
-    add_problem_flags(p_cert, with_method=False)
-    p_cert.add_argument("--point", required=True, help="comma-separated point")
-    p_cert.set_defaults(func=cmd_certify)
-
-    p_cmp = sub.add_parser("compare", help="run several methods on one problem (CSV)", **fmt)
-    add_problem_flags(p_cmp, with_method=False)
-    p_cmp.add_argument("--methods", default="mgcd,mcd", help="comma-separated method list")
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_gen = sub.add_parser("generate", help="emit a generated instance as JSON", **fmt)
-    add_problem_flags(p_gen, with_method=False)
-    p_gen.set_defaults(func=cmd_generate)
-
-    p_rep = sub.add_parser(
-        "reproduce-example",
-        help="run the built-in showcase and assert its known quantities",
         **fmt,
     )
-    p_rep.add_argument("--out", help="write machine output to this path instead of stdout")
-    p_rep.set_defaults(func=cmd_reproduce_example)
+    sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--problem": dict(help="problem file (DCForm JSON)"),
+        "--generate": dict(metavar="d,l,s,seed", help="draw a reproducible instance"),
+        "--scale": dict(type=float, default=1.0, help="scaling for --generate"),
+        "--x0": dict(help="comma-separated start point (origin if omitted)"),
+        "--tol": dict(type=float, help="certificate tolerance (default 1e-9 times the data scale)"),
+        "--max-iter": dict(type=int, default=1000, dest="max_iter", help="iteration cap"),
+        "--mu": dict(type=float, default=math.inf, help="hyper-offset cutoff (mcd only)"),
+        "--out": dict(help="write machine output to this path instead of stdout"),
+        "--method": dict(choices=("mhd", "mcd", "mgcd"), default="mgcd"),
+        "--format": dict(choices=("json", "csv"), default="json"),
+        "--point": dict(required=True, help="comma-separated point"),
+        "--methods": dict(default="mgcd,mcd", help="comma-separated method list"),
+    }
 
+    def add(name, func, help, *names):
+        p = sub.add_parser(name, help=help, **fmt)
+        for flag in (*names, "--out"):
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
+
+    # each subcommand takes only the flags it reads
+    problem, run = ("--problem", "--generate", "--scale"), ("--x0", "--tol", "--max-iter", "--mu")
+    add("solve", cmd_solve, "minimize a problem and emit the trace",
+        *problem, *run, "--method", "--format")
+    add("certify", cmd_certify, "global-optimality certificate at a point", *problem, "--tol", "--point")
+    add("compare", cmd_compare, "run several methods on one problem (CSV)", *problem, *run, "--methods")
+    add("generate", cmd_generate, "emit a generated instance as JSON", *problem)
+    add("reproduce-example", cmd_reproduce_example,
+        "run the built-in showcase and assert its known quantities")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         _progress(f"error: {exc}")

@@ -26,6 +26,10 @@ Both are one loop, ``_descend``, with two step rules.  It anchors each
 iterate with ``global_codiff``, every projection goes through
 ``_project``, and the final certificate reuses the projections already
 made at the last iterate.  Both runs serialize to JSON and CSV.
+
+No threshold is absolute: every "is this zero?" reads against one
+``tol``, by default ``1e-9`` times the data scale (``pa._default_tol``),
+or against float rounding, so a run on ``c * f`` is the run on ``f``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .minnorm import min_norm_point
-from .pa import DCForm, GlobalCodiff, _csv_text, _record_dict, evaluate, global_codiff
+from .pa import DCForm, GlobalCodiff, _csv_text, _default_tol, _record_dict, evaluate, global_codiff
 
 
 @dataclass(frozen=True)
@@ -167,45 +171,51 @@ def _certificate(
     return Certificate(point=gc.at, a_values=a_values, tol=tol, ray=ray)
 
 
-def _unbounded_ray(f: DCForm, tol: float) -> np.ndarray | None:
+def _unbounded_ray(f: DCForm) -> np.ndarray | None:
     """Unit ray along which ``f`` is unbounded below, or None.
 
     ``f = min_j max_i (a_i + b_j + <v_i + w_j, x>)`` is unbounded below
     iff the gradient hull ``conv{v_i + w_j}`` of some piece ``j``, which
     does not depend on ``x``, misses the origin.  If the hull's
-    minimum-norm point ``u`` has norm above ``sqrt(tol)`` and
-    ``<g, u> > 0`` at every vertex ``g``, then ``f(x - t u)`` decreases
-    at least linearly in ``t``; the first such piece gives ``-u / ||u||``.
+    minimum-norm point ``u`` has ``<g, u>`` above its rounding bound at
+    every vertex ``g``, then ``f(x - t u)`` decreases at least linearly
+    in ``t``; the first such piece gives ``-u / ||u||``.
     """
     for j in range(f.minus.shape[0]):
         G = f.plus[:, 1:] + f.minus[j, 1:]
         u, _ = min_norm_point(G)
-        norm = float(np.linalg.norm(u))
-        if norm > math.sqrt(tol) and float(np.min(G @ u)) > 0.0:
-            return -u / norm
+        # rounding of the sums in G and of the products G @ u
+        bound = (G.shape[1] + 2) * np.finfo(float).eps * (np.abs(G) @ np.abs(u))
+        if np.all(G @ u > bound):
+            return -u / np.linalg.norm(u)
     return None
 
 
-def check_global_opt(f: DCForm, x, tol: float = 1e-9) -> tuple[bool, Certificate]:
+def check_global_opt(f: DCForm, x, tol: float | None = None) -> tuple[bool, Certificate]:
     """Global-minimality test at ``x``.
 
     Projects every shifted hypodifferential and accepts iff all offsets
     ``a_j(x)`` are at least ``-tol`` and ``f`` is bounded below; when it
     is not, the certificate carries the ray along which ``f`` decreases
-    without bound.
+    without bound.  ``tol`` defaults to ``1e-9`` times the data scale at
+    ``x`` (``pa._default_tol``), so ``c * f`` gets the verdict of ``f``.
     """
-    cert = _certificate(global_codiff(f, x), tol, {}, _unbounded_ray(f, tol))
+    gc = global_codiff(f, x)
+    tol = _default_tol(gc, evaluate(f, x)) if tol is None else tol
+    cert = _certificate(gc, tol, {}, _unbounded_ray(f))
     return cert.is_global, cert
 
 
-def check_inf_stationary(f: DCForm, x, tol: float = 1e-9) -> bool:
+def check_inf_stationary(f: DCForm, x, tol: float | None = None) -> bool:
     """Directional-derivative stationarity test at ``x``.
 
     True iff for every active min-part index (hyper offset at most
     ``tol``) the shifted hypodifferential contains the origin, i.e. its
-    minimum-norm element has norm at most ``tol``.
+    minimum-norm element has norm at most ``tol``, by default ``1e-9``
+    times the data scale at ``x``.
     """
     gc = global_codiff(f, x)
+    tol = _default_tol(gc, evaluate(f, x)) if tol is None else tol
     active = [j for j in range(gc.hyper.shape[0]) if gc.hyper[j, 0] <= tol]
     return all(np.linalg.norm(p) <= tol for p in _project(gc, active).values())
 
@@ -225,7 +235,8 @@ def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
     ``alpha = 0`` or at a crossing of two lines within the max family
     or within the min family, unless the recession slope is negative,
     in which case the ray is a certificate of unboundedness.  Ties are
-    resolved toward the smallest ``alpha``.
+    resolved toward the smallest ``alpha``.  Slope thresholds are
+    relative to the largest slope along ``direction``.
     """
     x = np.asarray(x, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -237,17 +248,18 @@ def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
     r = f.minus[:, 0] + f.minus[:, 1:] @ x
     t = f.minus[:, 1:] @ direction
 
+    scale = max(float(np.abs(q).max()), float(np.abs(t).max()))
+
     def crossings(offsets, slopes):
         k = offsets.size
         if k < 2:
             return np.empty(0)
         i, j = np.triu_indices(k, 1)
         dq = slopes[i] - slopes[j]
-        ok = np.abs(dq) > 1e-15
+        ok = np.abs(dq) > 1e-15 * scale
         alpha = (offsets[i][ok] - offsets[j][ok]) / dq[ok]
         return alpha[alpha > 0]
 
-    scale = max(1.0, float(np.abs(q).max(initial=0.0)), float(np.abs(t).max(initial=0.0)))
     recession = -float(q.min()) - float(t.max())
     if recession < -1e-12 * scale:
         return LineSearchResult(alpha=math.inf, value=-math.inf, unbounded=True)
@@ -268,8 +280,10 @@ def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
 def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step) -> GlobalRun:
     """The descent loop shared by both methods.
 
-    ``tol`` defaults to ``1e-9 * max(1, |f(x0)|)``.  A function that
-    ``_unbounded_ray`` shows unbounded below ends the run at ``x0``.
+    ``tol`` defaults to ``pa._default_tol`` at ``x0``, ``1e-9`` times the
+    data scale there, so the run on ``c * f`` is the run on ``f``.  A
+    function that ``_unbounded_ray`` shows unbounded below ends the run
+    at ``x0``.
     Otherwise each iterate gets a record and ``step(gc, rec, run, tol)``
     sees it anchored in ``gc``; the step fills the record and returns the
     next point, or None once it has set the run's status.  After
@@ -279,9 +293,7 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step)
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     x = np.array(x0, dtype=float, ndmin=1)
-    if tol is None:
-        tol = 1e-9 * max(1.0, abs(evaluate(f, x)))
-    run = GlobalRun(method=method, iterates=[x], ray=_unbounded_ray(f, tol))
+    run = GlobalRun(method=method, iterates=[x], ray=_unbounded_ray(f))
     if run.ray is not None:
         run.status = "unbounded_below"
     for n in range(max_iter + 1):
@@ -289,7 +301,9 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step)
         run.records.append(rec)
         if run.ray is not None or n == max_iter:
             return run
-        x = step(global_codiff(f, x), rec, run, tol)
+        gc = global_codiff(f, x)
+        tol = _default_tol(gc, rec.f) if tol is None else tol
+        x = step(gc, rec, run, tol)
         if x is None:
             return run
         run.iterates.append(x)
@@ -368,7 +382,7 @@ def mcd_run(
         searches = {}
         for j in cand if descent or len(cand) < s else []:
             vj = rec.projections[j][1:]
-            if np.linalg.norm(vj) > 1e-15:
+            if np.linalg.norm(vj) > tol:  # a shorter v_j is rounding, not a direction
                 searches[j] = line_search_pa(f, rec.x, vj)
                 if searches[j].unbounded:
                     run.status = "unbounded_below"

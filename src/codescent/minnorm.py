@@ -9,6 +9,8 @@ step that adds the most violating vertex to a working corral with
 "minor" steps that restore the current point to a positive convex
 combination of the corral.  A corral's affine subproblem is solved by
 least squares on the differences of its vertices, not on their Gram matrix.
+The solver has no tolerance to set: it stops at the float resolution of
+its scores, which is relative to the hull.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from .errors import NonFinite, NoConvergence
 
 #: Weights at or below this threshold are dropped from the corral.
 WEIGHT_DROP = 1e-14
+
+#: Safety cap on major plus minor cycles per hull vertex.
+MAX_CYCLES_PER_VERTEX = 1000
 
 
 def _affine_min_norm(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -35,31 +40,25 @@ def _affine_min_norm(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu @ Q, mu
 
 
-def min_norm_point(
-    vertices: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def min_norm_point(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``min ||p||^2`` over ``p`` in the convex hull of ``vertices``.
+
+    The solver stops once every vertex ``q`` satisfies
+    ``<p, q> >= ||p||^2 - 64 * eps * max_q ||q||^2``, the float resolution
+    of the scores ``<p, q>``, which scales with the hull.  It also stops
+    once a major cycle fails to strictly decrease ``||p||^2``, returning
+    the point before or after it, whichever has the smaller gap
+    ``||p||^2 - min_q <p, q>``; a cycle that leaves the float value of
+    ``||p||^2`` equal but shrinks the gap goes on, as float may not
+    resolve a true decrease at that norm.  So every cycle decreases
+    ``(||p||^2, gap)`` lexicographically, no point repeats and the
+    solver terminates.
 
     Parameters
     ----------
     vertices : array, shape (m, k)
         Rows are the hull vertices.  Redundant (interior or duplicate)
         rows are tolerated.
-    tol : float
-        Optimality tolerance: stop once every vertex ``q`` satisfies
-        ``<p, q> >= ||p||^2 - max(tol, 64 * eps * max_q ||q||^2)``, where
-        the second term is the float resolution of the scores ``<p, q>``.
-        Also stop once a major cycle fails to strictly decrease
-        ``||p||^2``, returning the point before or after it, whichever has
-        the smaller gap ``||p||^2 - min_q <p, q>``; a cycle that leaves the
-        float value of ``||p||^2`` equal but shrinks the gap goes on, as
-        float may not resolve a true decrease at that norm.  So every
-        cycle decreases ``(||p||^2, gap)`` lexicographically, no point
-        repeats and the solver terminates.
-    max_iter : int, optional
-        Cap on major plus minor cycles; defaults to ``1000 * m``.
 
     Returns
     -------
@@ -76,23 +75,20 @@ def min_norm_point(
     NonFinite
         If any vertex contains NaN or infinity.
     NoConvergence
-        If the iteration cap is exceeded.
+        After ``MAX_CYCLES_PER_VERTEX * m`` cycles.
     """
     P = np.asarray(vertices, dtype=float)
     if P.ndim != 2 or P.shape[0] == 0:
         raise ValueError("vertices must be a nonempty (m, k) array")
     if not np.isfinite(P).all():
         raise NonFinite("vertex set contains non-finite entries")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m = P.shape[0]
-    if max_iter is None:
-        max_iter = 1000 * m
+    max_iter = MAX_CYCLES_PER_VERTEX * m
 
     # start from the smallest-norm vertex (first one on ties)
     sq = np.einsum("ij,ij->i", P, P)
     j0 = int(np.argmin(sq))
-    floor = max(tol, 64 * np.finfo(float).eps * float(sq.max()))
+    floor = 64 * np.finfo(float).eps * float(sq.max())
     corral = [j0]
     lam = np.array([1.0])
     x = P[j0].copy()

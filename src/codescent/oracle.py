@@ -37,13 +37,14 @@ min-norm solver for its sign certificate, as its contract requires.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import Degenerate
 from .minnorm import min_norm_point
-from .pa import DCForm
+from .pa import DCForm, _default_tol, global_codiff
 
 _PIVOT_TOL = 1e-9
 _TIE_TOL = 1e-12
@@ -149,16 +150,21 @@ def _piece_minima(plus: np.ndarray, minus: np.ndarray):
     ``min_x max_i (a_i + b_j + <v_i + w_j, x>)``, from one shared tableau.
 
     Columns: ``x+`` (d), ``x-`` (d), ``tau+``, ``tau-``, slacks (m), rhs.
+    The tableau holds the data divided by the power of two just above its
+    largest |entry|, an exact division, so the pivot tolerances are
+    relative to the data.
     """
     a, V = plus[:, 0], plus[:, 1:]
     m, d = V.shape
+    e = math.frexp(max(np.abs(plus).max(), np.abs(minus).max()))[1]
+    unit = math.ldexp(1.0, -e)
     T = np.zeros((m, 2 * d + 3 + m))
-    T[:, :d] = V
-    T[:, d : 2 * d] = -V
+    T[:, :d] = unit * V
+    T[:, d : 2 * d] = -T[:, :d]
     T[:, 2 * d] = -1.0
     T[:, 2 * d + 1] = 1.0
     T[:, 2 * d + 2 : -1] = np.eye(m)
-    T[:, -1] = -a
+    T[:, -1] = -unit * a
     basis = np.arange(2 * d + 2, 2 * d + 2 + m)
     # tau = max_i a_i enters as tau+ or tau-, whichever is then nonnegative
     top = int(np.argmax(a))
@@ -168,8 +174,8 @@ def _piece_minima(plus: np.ndarray, minus: np.ndarray):
 
     c = np.zeros(T.shape[1] - 1)
     c[2 * d], c[2 * d + 1] = 1.0, -1.0
-    for b, w in zip(minus[:, 0], minus[:, 1:]):
-        c[:d], c[d : 2 * d] = w, -w
+    for b, w, cost in zip(minus[:, 0], minus[:, 1:], unit * minus[:, 1:]):
+        c[:d], c[d : 2 * d] = cost, -cost
         status, z, ray = solve_lp(T, basis, c)
         if status == "optimal":
             x = z[:d] - z[d : 2 * d]
@@ -190,7 +196,7 @@ def min_max_affine(pieces: np.ndarray) -> LPOutcome:
     return next(_piece_minima(pieces, np.zeros((1, pieces.shape[1]))))
 
 
-def classify_nonnegative(pieces: np.ndarray, tol: float = 1e-9) -> NonnegativityVerdict:
+def classify_nonnegative(pieces: np.ndarray, tol: float | None = None) -> NonnegativityVerdict:
     """Classify ``f(x) = max_i (a_i + <v_i, x>)`` by its sign behaviour.
 
     For a bounded-below ``f`` the verdict reduces to the sign of the
@@ -200,9 +206,13 @@ def classify_nonnegative(pieces: np.ndarray, tol: float = 1e-9) -> Nonnegativity
     descent direction (``-v0`` when the hull pinches the ``a = 0``
     hyperplane away from the origin, else the LP ray), which is why the
     boundedness precondition of the sign test never needs to be trusted.
+    ``tol`` defaults to ``1e-9`` times the data scale at the origin.
     """
     pieces = np.atleast_2d(np.asarray(pieces, dtype=float))
-    point, _ = min_norm_point(pieces, tol=min(tol, 1e-10))
+    if tol is None:
+        f = DCForm(pieces.shape[1] - 1, pieces, np.zeros((1, pieces.shape[1])))
+        tol = _default_tol(global_codiff(f, np.zeros(f.d)), float(pieces[:, 0].max()))
+    point, _ = min_norm_point(pieces)
     a0, v0 = float(point[0]), point[1:]
     lp = min_max_affine(pieces)
     if not lp.bounded:

@@ -155,16 +155,6 @@ class DCForm:
     def __call__(self, x):
         return evaluate(self, x)
 
-    def max_part(self, x: np.ndarray) -> float:
-        """Value of the convex (max) part at ``x``."""
-        x = _check_point(self.d, x)
-        return float(np.max(self.plus[:, 0] + self.plus[:, 1:] @ x))
-
-    def min_part(self, x: np.ndarray) -> float:
-        """Value of the concave (min) part at ``x``."""
-        x = _check_point(self.d, x)
-        return float(np.min(self.minus[:, 0] + self.minus[:, 1:] @ x))
-
     # -- serialization ------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -251,23 +241,19 @@ def global_codiff(f: DCForm, x) -> GlobalCodiff:
 
 
 def translate(f: DCForm, gc: GlobalCodiff, y) -> GlobalCodiff:
-    """Re-anchor a codifferential of ``f`` from ``gc.at`` to ``y``.
+    """Re-anchor a codifferential of ``f`` from ``gc.at`` to ``y``: the
+    rebuild ``global_codiff(f, y)``, which shifting the rows of ``gc``
+    would match row for row at three times the matrix-vector products."""
+    return global_codiff(f, y)
 
-    Each hypo row ``(a, v)`` maps to
-    ``(a + max_part(x) - max_part(y) + <v, y - x>, v)`` and analogously
-    for the hyper rows; the result equals ``global_codiff(f, y)``
-    row for row.  It is not cheaper than rebuilding: it takes three
-    matrix-vector products per part (two part evaluations and the
-    offset update) where ``global_codiff`` takes one.
-    """
-    y = _check_point(f.d, y)
-    x = gc.at
-    dy = y - x
-    hypo = gc.hypo.copy()
-    hypo[:, 0] += f.max_part(x) - f.max_part(y) + gc.hypo[:, 1:] @ dy
-    hyper = gc.hyper.copy()
-    hyper[:, 0] += f.min_part(x) - f.min_part(y) + gc.hyper[:, 1:] @ dy
-    return GlobalCodiff(at=y, hypo=hypo, hyper=hyper)
+
+def _default_tol(gc: GlobalCodiff, value: float) -> float:
+    """The one default for "numerically zero" in a certificate: ``1e-9``
+    times ``max(|value|, max |entry of gc|)`` for a function with value
+    ``value`` and codifferential ``gc`` at a point.  The scale is ``c``
+    times larger for ``c * f`` and fixed when ``f`` and the point are
+    translated together, so no verdict read against it depends on units."""
+    return 1e-9 * max(abs(value), float(np.abs(gc.hypo).max()), float(np.abs(gc.hyper).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,46 @@ def test_solver_failure_exit_code(example_file, capsys, monkeypatch, exc):
 
 
 def test_solve_large_scale_exits_cleanly(capsys):
-    code, out = run_cli(capsys, "solve", "--generate", "3,8,4,42", "--scale", "1e4", "--x0", "1,2,-1")
-    assert code == 0
-    assert json.loads(out)["final_f"] == pytest.approx(-4.2e4, rel=1e-9)
+    # the oracle check is relative: at 1e8 the claimed -419999999.9999988 is
+    # 1.2e-6 from the oracle's -4.2e8, but only 3e-15 of it
+    for c in (1e4, 1e8):
+        code, out = run_cli(capsys, "solve", "--generate", "3,8,4,42", "--scale", str(c), "--x0", "1,2,-1")
+        assert code == 0
+        result = json.loads(out)
+        assert result["final_f"] == pytest.approx(-4.2 * c, rel=1e-9)
+        assert result["oracle_verified"] is True
+
+
+GEN = ("--generate", "2,4,1,11")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--bogus", "1"],
+        ["solve", "--max-iter", "abc"],
+        ["solve", "--method", "bfgs"],
+        ["certify", *GEN],  # no --point
+        [],  # no subcommand
+        # flags a subcommand does not read are rejected, not ignored
+        ["generate", *GEN, "--x0", "zz"],
+        ["generate", *GEN, "--tol", "1"],
+        ["generate", *GEN, "--max-iter", "5"],
+        ["generate", *GEN, "--mu", "0"],
+        ["certify", *GEN, "--point", "0,0", "--x0", "1,1"],
+        ["certify", *GEN, "--point", "0,0", "--max-iter", "5"],
+        ["certify", *GEN, "--point", "0,0", "--mu", "0"],
+    ],
+)
+def test_usage_errors_exit_input(capsys, argv):
+    # argparse's own exit code 2 would read as "unbounded below"
+    assert main(argv) == cli.EXIT_INPUT == 4
+    assert capsys.readouterr().err.strip().splitlines()[-1].startswith("error: codescent")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["certify", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: codescent")

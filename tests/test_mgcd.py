@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codescent import (
     DCForm,
@@ -207,19 +209,7 @@ def test_cycling_hull_instance_reaches_global(method, cycling_instance):
     assert run.final_f == pytest.approx(fstar, abs=1e-6)
 
 
-@pytest.mark.parametrize(
-    "k",
-    [
-        pytest.param(
-            -6,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="absolute tolerances certify a wrong minimum at tiny scale (ROADMAP item 2)",
-            ),
-        ),
-        *range(2, 7),
-    ],
-)
+@pytest.mark.parametrize("k", [-6, *range(2, 7)])
 @pytest.mark.parametrize("method", [mgcd_run, mcd_run])
 def test_scaled_instance_certified(method, k):
     c = 10.0**k
@@ -229,11 +219,83 @@ def test_scaled_instance_certified(method, k):
     assert run.final_f / c == pytest.approx(-4.2, abs=1e-6)
 
 
+# ---------------------------------------------------------------------------
+# whole runs do not depend on units, piece order or the origin of x
+
+GRID = list(instance_grid())
+
+
+def _same_run(run, ref, f, c=1.0):
+    """``run`` on ``f`` reaches ``ref``'s status and value times ``c``, at a
+    point that attains the oracle's minimum.  The argmin itself may differ
+    where the minimum is attained at more than one point."""
+    assert run.status == ref.status == "global_min"
+    assert run.final_f / c == pytest.approx(ref.final_f, rel=1e-6, abs=1e-9)
+    assert run.final_f / c == pytest.approx(pa_global_min(f).value / c, rel=1e-6, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(GRID), e=st.floats(-6, 6), method=st.sampled_from([mgcd_run, mcd_run]))
+def test_run_scale_invariance(case, e, method):
+    d, l, s, seed = case
+    f, c = generate_pa(seed, d, l, s), 10.0**e
+    scaled = DCForm(d, c * f.plus, c * f.minus)
+    x0 = random_start(seed, d)
+    _same_run(method(scaled, x0, max_iter=100_000), method(f, x0, max_iter=100_000), scaled, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(GRID), data=st.data(), method=st.sampled_from([mgcd_run, mcd_run]))
+def test_run_permutation_invariance(case, data, method):
+    d, l, s, seed = case
+    f = generate_pa(seed, d, l, s)
+    plus = f.plus[data.draw(st.permutations(range(l)))]
+    minus = f.minus[data.draw(st.permutations(range(s)))]
+    permuted = DCForm(d, plus, minus)
+    x0 = random_start(seed, d)
+    _same_run(method(permuted, x0, max_iter=100_000), method(f, x0, max_iter=100_000), permuted)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(GRID), data=st.data(), method=st.sampled_from([mgcd_run, mcd_run]))
+def test_run_translation_invariance(case, data, method):
+    d, l, s, seed = case
+    f = generate_pa(seed, d, l, s)
+    t = np.array(data.draw(st.lists(st.floats(-100, 100), min_size=d, max_size=d)))
+    # g(x) = f(x - t), run from x0 + t
+    plus, minus = f.plus.copy(), f.minus.copy()
+    plus[:, 0] -= f.plus[:, 1:] @ t
+    minus[:, 0] -= f.minus[:, 1:] @ t
+    moved = DCForm(d, plus, minus)
+    x0 = random_start(seed, d)
+    _same_run(method(moved, x0 + t, max_iter=100_000), method(f, x0, max_iter=100_000), moved)
+
+
+@pytest.fixture(scope="module")
+def rung_minimum():
+    return pa_global_min(generate_pa(0, 10, 80, 20)).value
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e3, 1e6])
+def test_ladder_rung_certified_at_any_scale(c, rung_minimum):
+    # the oracle pivots on a tableau with absolute tolerances and the runs
+    # read offsets against tol; neither may depend on c (at c = 1e6 an
+    # unscaled tableau gives -0.128 c against a minimum of -0.727 c)
+    f = generate_pa(0, 10, 80, 20, scale=c)
+    assert pa_global_min(f).value / c == pytest.approx(rung_minimum, rel=1e-9)
+    for method in (mgcd_run, mcd_run):
+        run = method(f, np.zeros(10), max_iter=100_000)
+        assert run.status == "global_min"
+        assert run.final_f / c == pytest.approx(rung_minimum, rel=1e-9)
+
+
 def test_mgcd_status_follows_its_certificate():
-    # at scale 1e-6 the absolute min-norm tolerance stops Wolfe early, MGCD
-    # discards every piece at f / c = 5.65 (the minimum is -4.2), and its
-    # own certificate there does not hold
-    run = mgcd_run(generate_pa(42, 3, 8, 4, scale=1e-6), [1.0, 2.0, -1.0], max_iter=100_000)
+    # with tol = 1, MGCD discards pieces 1 to 3 at x0 (a_j from -0.70 to
+    # -0.43), steps on piece 0 and discards it at f = 7.62 (the minimum is
+    # -1.2); there a_2 = -1.12 < -tol, so its own certificate does not hold
+    f = generate_pa(205056, 4, 10, 4)
+    run = mgcd_run(f, random_start(205056, 4), tol=1.0)
+    assert run.n_steps == 1 and run.final_f > pa_global_min(f).value + 8
     assert not run.certificate.is_global
     assert run.status == "undecided"
 
@@ -403,7 +465,8 @@ def test_global_run_json_pinned(method, discard_log, discarded, alpha, a_values)
 
     cert = data["certificate"]
     assert set(cert) == CERT_KEYS
-    assert (cert["tol"], cert["is_global"], cert["ray"]) == (1e-9, True, None)
+    # 1e-9 times the data scale at x0, the largest |offset| of its codifferential
+    assert (cert["tol"], cert["is_global"], cert["ray"]) == (4e-9, True, None)
     assert np.allclose(cert["point"], [0.0, 0.0], rtol=0.0, atol=1e-12)
     assert np.allclose(cert["a_values"], a_values, rtol=0.0, atol=1e-12)
 

@@ -32,7 +32,7 @@ def test_showcase_piece_projection():
     x0 = np.array([2.0, 2.0])
     gc = global_codiff(f, x0)
     S = gc.hypo + hyper_grad(f, x0, 0)
-    point, w = min_norm_point(S, tol=1e-12)
+    point, w = min_norm_point(S)
     assert np.allclose(point, [-0.1111, 0.2222, 0.2222], atol=1e-4)
     assert np.allclose(point, [-1.0 / 9.0, 2.0 / 9.0, 2.0 / 9.0], atol=1e-9)
     assert wolfe_residual(S, point) <= 1e-10
@@ -86,34 +86,16 @@ hulls = st.tuples(st.integers(1, 12), st.integers(1, 6)).flatmap(
     P=np.array([[-6.0] * 6, [0.0, 1.1920929e-07] + [-6.0] * 4, [0.0] + [-6.0] * 5]), e=1.0
 )
 def test_scale_equivariance(P, e):
-    """min_norm_point(c P) = c min_norm_point(P), with ``tol`` scaled by c**2.
-
-    The tolerance is in squared-norm units, so only a scaled ``tol``
-    makes the two solves the same problem; with the default ``tol`` the
-    equivariance fails at small c (see the next test).
-    """
+    """min_norm_point(c P) = c min_norm_point(P): the solver's stop rule is
+    relative to the hull."""
     c = 10.0**e
     point, _ = min_norm_point(P)
-    scaled, _ = min_norm_point(c * P, tol=1e-10 * c * c)
+    scaled, _ = min_norm_point(c * P)
     hull_scale = c * max(1.0, float(np.abs(P).max()))
     assert np.linalg.norm(scaled - c * point) <= 1e-9 * hull_scale
 
 
-@pytest.mark.parametrize(
-    "c",
-    [
-        pytest.param(
-            1e-6,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="the default absolute tol stops early on tiny hulls (ROADMAP item 2)",
-            ),
-        ),
-        1e-3,
-        1e3,
-        1e6,
-    ],
-)
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6])
 def test_scale_equivariance_default_tol(c):
     f = worked_example()
     x0 = np.array([2.0, 2.0])
@@ -136,13 +118,13 @@ def test_rejects_nonfinite_and_empty():
         min_norm_point(np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError):
         min_norm_point(np.zeros((0, 3)))
-    with pytest.raises(ValueError):
-        min_norm_point(np.ones((2, 2)), tol=0.0)
 
 
-def test_iteration_cap_raises():
-    from codescent import NoConvergence
+def test_iteration_cap_raises(monkeypatch):
+    from codescent import NoConvergence, minnorm
 
     P = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
+    # a cap of 0 cycles per vertex lets 0 cycles run on this hull
+    monkeypatch.setattr(minnorm, "MAX_CYCLES_PER_VERTEX", 0)
     with pytest.raises(NoConvergence):
-        min_norm_point(P, max_iter=1)
+        min_norm_point(P)

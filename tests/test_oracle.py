@@ -197,6 +197,11 @@ def _highs_piece_minima(f):
         A = np.column_stack([P[:, 1:], -np.ones(len(P))])
         res = linprog(cost, A_ub=A, b_ub=-P[:, 0], bounds=[(None, None)] * (f.d + 1),
                       method="highs", options={"presolve": False})
+        if res.status == 4:
+            # without presolve HiGHS can end an unbounded LP with model status
+            # "unknown" (the third @example below); its presolve settles it
+            res = linprog(cost, A_ub=A, b_ub=-P[:, 0], bounds=[(None, None)] * (f.d + 1),
+                          method="highs")
         assert res.status in (0, 3)
         yield res.fun if res.status == 0 else -np.inf
 
@@ -208,6 +213,14 @@ def _highs_piece_minima(f):
 # |x| with a duplicated row and tied offsets, minus a tied pair of pieces
 @example(
     f=DCForm(1, np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 1.0]]), np.array([[0.0, 0.0], [0.0, 0.0]]))
+)
+# unbounded; HiGHS without presolve reports its LP's status as unknown
+@example(
+    f=DCForm(
+        3,
+        np.array([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, -1], [-1, 1, 1, 2], [-1, 1, 1, -2], [-2, 2, 2, 0]]),
+        np.array([[0, 0, 0, 1]]),
+    )
 )
 def test_pa_global_min_matches_highs(f):
     out = pa_global_min(f)
