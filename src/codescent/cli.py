@@ -125,7 +125,10 @@ def _run_method(method: str, f: DCForm, x0: np.ndarray, args):
         elif method == "mcd":
             run = mcd_run(f, x0, mu=args.mu, tol=args.tol, max_iter=args.max_iter)
         elif method == "mhd":
-            cfg = MHDConfig(stop_tol=args.tol or 1e-8, max_iter=args.max_iter)
+            tol = args.tol
+            if tol is None:  # the data scale is zero only for f = 0, which any positive tol certifies
+                tol = max(_default_tol(global_codiff(f, x0), evaluate(f, x0)), np.finfo(float).tiny)
+            cfg = MHDConfig(stop_tol=tol, max_iter=args.max_iter)
         else:
             raise InputError(f"unknown method {method!r}")
     except ValueError as exc:

@@ -40,6 +40,10 @@ class ConvexFn:
         """Vertex set ``(m, d + 1)`` of the hypodifferential at ``x``."""
         raise NotImplementedError
 
+    def value_and_hypodiff(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(value(x), hypodiff(x))``; subclasses override it to share work."""
+        return self.value(x), self.hypodiff(x)
+
     def __call__(self, x) -> float:
         return self.value(np.asarray(x, dtype=float))
 
@@ -65,6 +69,10 @@ class SmoothConvex(ConvexFn):
 
     def hypodiff(self, x):
         return hypo_smooth(self, x)
+
+    def value_and_hypodiff(self, x):
+        fx, g = self.fn(np.asarray(x, dtype=float))
+        return float(fx), _gradient_vertex(g)
 
 
 class ConvexCombination(ConvexFn):
@@ -104,6 +112,9 @@ class MaxOf(ConvexFn):
     def hypodiff(self, x):
         return hypo_max(self.children, x)
 
+    def value_and_hypodiff(self, x):
+        return _max_value_and_hypo(self.children, x)
+
 
 # ---------------------------------------------------------------------------
 # calculus at a point
@@ -111,8 +122,11 @@ class MaxOf(ConvexFn):
 
 def hypo_smooth(fn: SmoothConvex, x) -> np.ndarray:
     """Hypodifferential of a smooth convex atom: ``{(0, grad f(x))}``."""
-    x = np.asarray(x, dtype=float)
-    g = fn.gradient(x)
+    return _gradient_vertex(fn.gradient(np.asarray(x, dtype=float)))
+
+
+def _gradient_vertex(g) -> np.ndarray:
+    g = np.asarray(g, dtype=float)
     if not np.isfinite(g).all():
         raise NonFinite("gradient is not finite")
     return np.concatenate(([0.0], g))[None, :]
@@ -142,18 +156,19 @@ def hypo_max(children: Sequence[ConvexFn], x) -> np.ndarray:
     ``(f_i(x) - u(x), 0)`` where ``u(x)`` is the max value, so the
     offsets record how far each piece sits below the active one.
     """
+    return _max_value_and_hypo(children, x)[1]
+
+
+def _max_value_and_hypo(children: Sequence[ConvexFn], x) -> tuple[float, np.ndarray]:
+    # one value_and_hypodiff call per child; the blocks are stacked once
     x = np.asarray(x, dtype=float)
-    vals = [f.value(x) for f in children]
-    u = max(vals)
-    blocks = []
-    for f, fi in zip(children, vals):
-        part = f.hypodiff(x).copy()
-        part[:, 0] += fi - u
-        blocks.append(part)
-    widths = {b.shape[1] for b in blocks}
-    if len(widths) > 1:
+    vals, blocks = zip(*(f.value_and_hypodiff(x) for f in children))
+    if len({b.shape[1] for b in blocks}) > 1:
         raise DimensionMismatch("children have mixed dimensions")
-    return _merge_duplicates(np.vstack(blocks))
+    u = max(vals)
+    H = np.concatenate(blocks)
+    H[:, 0] += np.repeat(np.subtract(vals, u), [b.shape[0] for b in blocks])
+    return float(u), _merge_duplicates(H)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +282,8 @@ def quadratic(H: np.ndarray, b: np.ndarray, c: float = 0.0) -> SmoothConvex:
     L = float(np.linalg.eigvalsh(H).max())
 
     def fn(x):
-        return 0.5 * x @ H @ x + b @ x + c, H @ x + b
+        Hx = H @ x
+        return 0.5 * (x @ Hx) + b @ x + c, Hx + b
 
     atom = SmoothConvex(b.size, fn, lipschitz_grad=L)
     atom.H, atom.b, atom.c = H, b, float(c)

@@ -42,7 +42,10 @@ class MHDConfig:
     backtracking ratio, both in (0, 1); backtracking stops at
     ``gamma**ARMIJO_MAX_K``.  ``stop_tol`` bounds the norm of the
     minimum-norm hypodifferential element at termination, and
-    ``max_iter`` the number of steps.
+    ``max_iter`` the number of steps.  ``codescent solve --method mhd``
+    sets ``stop_tol`` relative to the data unless ``--tol`` is given:
+    ``1e-9`` times ``max(|f(x0)|, max |entry of global_codiff(f, x0)|)``
+    (``pa._default_tol``), so ``c * f`` stops where ``f`` does.
     """
 
     sigma: float = 0.1
@@ -168,11 +171,10 @@ def mhd_run(
     x = np.array(x0, dtype=float, ndmin=1)
     trace = MHDTrace()
     for n in range(cfg.max_iter + 1):
-        H = f.hypodiff(x)
+        fx, H = f.value_and_hypodiff(x)
         point, _ = min_norm_point(H)
         a, v = float(point[0]), point[1:]
         nrm = float(np.linalg.norm(point))
-        fx = f.value(x)
         alpha = k = status = None
         if nrm <= cfg.stop_tol:
             status = "stationary"

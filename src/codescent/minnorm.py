@@ -94,12 +94,12 @@ def min_norm_point(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = P[j0].copy()
 
     iters = 0
+    scores = P @ x
     while True:
         iters += 1
         if iters > max_iter:
             raise NoConvergence(f"min_norm_point: no convergence in {max_iter} cycles")
         # major cycle: most violating vertex (np.argmin takes the lowest index)
-        scores = P @ x
         j = int(np.argmin(scores))
         xx = float(x @ x)
         if scores[j] >= xx - floor:
@@ -108,7 +108,7 @@ def min_norm_point(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         corral = [*corral, j]
 
         # minor cycles: restore a positive convex combination
-        lam = np.append(lam, 0.0)
+        lam = np.concatenate((lam, [0.0]))
         while True:
             iters += 1
             if iters > max_iter:
@@ -137,12 +137,14 @@ def min_norm_point(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             lam = lam / lam.sum()
             x = lam @ P[corral]
 
+        gap_before = xx - scores[j]
+        scores = P @ x  # the next major cycle's scores too
         if float(x @ x) >= xx:
             # float cannot order the two points by norm; the Wolfe gap bounds
             # the squared distance to p*, so keep the point with the smaller
             # gap, and go on only from an equal norm with a smaller gap:
             # (norm, gap) then decreases lexicographically and no x repeats
-            if float(x @ x - np.min(P @ x)) >= xx - scores[j]:
+            if float(x @ x - np.min(scores)) >= gap_before:
                 corral, lam, x = before
                 break
             if float(x @ x) > xx:

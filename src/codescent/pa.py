@@ -42,18 +42,18 @@ DUP_TOL = 1e-12
 def _merge_duplicates(rows: np.ndarray) -> np.ndarray:
     """Drop rows equal to an earlier row within ``DUP_TOL`` coordinatewise.
 
-    Keeps the first occurrence and preserves the original row order.
+    Keeps the first occurrence and preserves the original row order;
+    returns ``rows`` itself when no two rows merge.
     """
     m = rows.shape[0]
     if m <= 1:
         return rows
     order = np.lexsort(rows.T[::-1])
     srt = rows[order]
-    gap = np.abs(np.diff(srt, axis=0)).max(axis=1)
-    new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = gap >= DUP_TOL
-    gid = np.cumsum(new_group) - 1
+    gap = np.abs(srt[1:] - srt[:-1]).max(axis=1)
+    if (gap >= DUP_TOL).all():
+        return rows
+    gid = np.concatenate(([0], np.cumsum(gap >= DUP_TOL)))
     rep = np.full(gid[-1] + 1, m, dtype=np.int64)
     np.minimum.at(rep, gid, order)
     rep.sort()

@@ -62,13 +62,27 @@ def test_solve_mhd_requires_convex(example_file, capsys):
 
 
 def test_solve_mhd_convex_generated(capsys):
-    code, out = run_cli(
-        capsys, "solve", "--generate", "2,4,1,11", "--method", "mhd", "--x0", "3,3"
-    )
+    # the default stop rule is relative to the data: at 1e-10 an absolute
+    # 1e-8 would accept x0, where every projection is shorter than that
+    argv = ["solve", "--generate", "2,4,1,11", "--method", "mhd", "--x0", "3,3"]
+    for c in (1e-10, 1.0, 1e6):
+        code, out = run_cli(capsys, *argv, "--scale", str(c))
+        assert code == 0
+        result = json.loads(out)
+        assert result["status"] == "global_min"
+        assert result["oracle_verified"] is True
+        assert result["n_steps"] == 2
+        assert result["final_f"] / c == pytest.approx(3.125, rel=1e-12)
+    assert main([*argv, "--tol", "0"]) == cli.EXIT_INPUT
+
+
+def test_solve_mhd_zero_function(tmp_path, capsys):
+    # f = 0 has a zero data scale; its zero certificate still stops the run
+    prob = tmp_path / "zero.json"
+    prob.write_text('{"d": 1, "plus": [{"a": 0, "v": [0]}], "minus": [{"b": 0, "w": [0]}]}')
+    code, out = run_cli(capsys, "solve", "--problem", str(prob), "--method", "mhd")
     assert code == 0
-    result = json.loads(out)
-    assert result["status"] == "global_min"
-    assert result["oracle_verified"] is True
+    assert json.loads(out)["n_steps"] == 0
 
 
 def test_solve_unbounded_exit_code(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codescent import (
     ConvexCombination,
     ConvexPAView,
+    DCForm,
     MaxOf,
     check_amenable,
     check_lipschitz_approx,
@@ -14,6 +17,7 @@ from codescent import (
     quadratic,
     worked_example,
 )
+from codescent.pa import _merge_duplicates
 
 
 def fd_gradient(fn, x, step=1e-6):
@@ -73,6 +77,48 @@ def test_hypo_max_dedups_coincident_vertices():
     out = hypo_max([x_squared(), zero], [0.0])
     assert out.shape == (1, 2)
     assert np.allclose(out, [[0.0, 0.0]])
+
+
+def two_pass_hypo_max(children, x):
+    """Reference: every child's value, then every child's hypodiff, shifted."""
+    x = np.asarray(x, dtype=float)
+    vals = [f.value(x) for f in children]
+    u = max(vals)
+    blocks = []
+    for f, fi in zip(children, vals):
+        part = f.hypodiff(x).copy()
+        part[:, 0] += fi - u
+        blocks.append(part)
+    return _merge_duplicates(np.vstack(blocks))
+
+
+def convex_zoo(seed, d):
+    """One of each ConvexFn class, with nested maxima, multi-row children
+    and a repeated child (so merging has exact duplicates to drop)."""
+    r = np.random.default_rng(seed)
+
+    def quad():
+        A = r.normal(size=(d, d))
+        return quadratic(A @ A.T, r.normal(size=d), r.normal())
+
+    lin = linear(r.integers(-2, 3, size=d).astype(float), float(r.integers(-2, 3)))
+    view = ConvexPAView(DCForm(d, r.integers(-3, 4, size=(4, d + 1)), r.integers(-3, 4, size=(1, d + 1))))
+    inner = MaxOf([quad(), lin, lin, view])
+    comb = ConvexCombination([(0.5, quad()), (2.0, inner), (1.0, view)])
+    return [quad(), lin, view, comb, inner, MaxOf([inner, comb, MaxOf([lin, quad()]), view])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), scale=st.sampled_from([1e-6, 1.0, 1e3]))
+def test_value_and_hypodiff_is_bitwise_the_two_calls(seed, d, scale):
+    x = scale * np.random.default_rng(seed + 1).integers(-3, 4, size=d).astype(float)
+    for f in convex_zoo(seed, d):
+        fx, H = f.value_and_hypodiff(x)
+        assert type(fx) is float and fx == f.value(x)
+        ref = f.hypodiff(x)
+        assert H.dtype == ref.dtype and np.array_equal(H, ref)
+        if isinstance(f, MaxOf):
+            assert np.array_equal(hypo_max(f.children, x), two_pass_hypo_max(f.children, x))
 
 
 def test_hypo_max_exact_for_affine_children(rng):

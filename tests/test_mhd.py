@@ -11,6 +11,7 @@ from codescent import (
     armijo_step,
     line_search_pa,
     generate_pa,
+    max_quadratics,
     mhd_run,
     pa_global_min,
     quadratic,
@@ -133,3 +134,17 @@ def test_negative_max_iter_rejected():
         mhd_run(x_squared(), [1.0], MHDConfig(max_iter=-1))
     trace = mhd_run(x_squared(), [1.0], MHDConfig(max_iter=0))
     assert trace.status == "iter_limit" and len(trace.steps) == 1
+
+
+def test_one_callback_per_child_per_iterate():
+    # each iterate costs one fused value-and-gradient call per child; every
+    # Armijo trial, accepted or not, one value call per child
+    fn, _, x0 = max_quadratics(0)
+    calls = []
+    for child in fn.children:
+        child.fn = lambda x, inner=child.fn: calls.append(1) or inner(x)
+    trace = mhd_run(fn, x0, MHDConfig(max_iter=40))
+    k = len(fn.children)
+    trials = sum(s.k + 1 for s in trace.steps if s.k is not None)
+    assert trace.status == "iter_limit" and trials > len(trace.steps)
+    assert len(calls) == k * len(trace.steps) + k * trials

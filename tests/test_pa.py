@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codescent import (
     Affine,
@@ -25,6 +27,7 @@ from codescent import (
     translate,
     worked_example,
 )
+from codescent.pa import DUP_TOL, _merge_duplicates
 from codescent.problems import WORKED_EXAMPLE_HYPER, WORKED_EXAMPLE_HYPO
 from conftest import random_expr
 
@@ -138,6 +141,45 @@ def test_translate_abs_hand_computed():
 
 # ---------------------------------------------------------------------------
 # calculus operations
+
+
+def merge_duplicates_reference(rows):
+    """``_merge_duplicates`` before its no-merge early return."""
+    m = rows.shape[0]
+    if m <= 1:
+        return rows
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    gap = np.abs(np.diff(srt, axis=0)).max(axis=1)
+    new_group = np.empty(m, dtype=bool)
+    new_group[0] = True
+    new_group[1:] = gap >= DUP_TOL
+    gid = np.cumsum(new_group) - 1
+    rep = np.full(gid[-1] + 1, m, dtype=np.int64)
+    np.minimum.at(rep, gid, order)
+    rep.sort()
+    return rows[rep]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(0, 12),
+    k=st.integers(1, 4),
+    copies=st.integers(0, 6),
+    shift=st.sampled_from([0.0, 0.25, 0.5, 0.999, 1.0, 1.001, 4.0]),
+)
+def test_merge_duplicates_matches_reference(seed, m, k, copies, shift):
+    # rows on a coarse grid, then copies of some of them moved by
+    # shift * DUP_TOL in one coordinate: exact, inside, at and past the tolerance
+    r = np.random.default_rng(seed)
+    rows = r.integers(-2, 3, size=(m, k)) / 4.0
+    if m:
+        dup = rows[r.integers(0, m, size=copies)]
+        dup[np.arange(copies), r.integers(0, k, size=copies)] += shift * DUP_TOL * r.choice([-1, 1], size=copies)
+        rows = r.permutation(np.vstack([rows, dup]))
+    out = _merge_duplicates(rows)
+    assert out.dtype == rows.dtype and np.array_equal(out, merge_duplicates_reference(rows))
 
 
 def test_codiff_affine_flavors():
