@@ -30,7 +30,6 @@ from .errors import (
     ArmijoFailure,
     Degenerate,
     DimensionMismatch,
-    GenerationFailure,
     NoConvergence,
     NonFinite,
     SizeOverflow,
@@ -92,7 +91,6 @@ __all__ = [
     "DCForm",
     "Degenerate",
     "DimensionMismatch",
-    "GenerationFailure",
     "GlobalCodiff",
     "GlobalRun",
     "LPOutcome",

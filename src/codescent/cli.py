@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from .convex import ConvexPAView
-from .errors import ArmijoFailure, Degenerate, GenerationFailure, NoConvergence
+from .errors import ArmijoFailure, Degenerate, NoConvergence
 from .mgcd import (
     _unbounded_ray,
     check_global_opt,
@@ -63,7 +63,7 @@ _STATUS_EXIT = {
 _SOLVER_ERRORS = (NoConvergence, Degenerate, ArmijoFailure)
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -84,9 +84,12 @@ def _emit(text: str, out: str | None) -> None:
 
 def _parse_floats(text: str) -> np.ndarray:
     try:
-        return np.array([float(t) for t in text.split(",")], dtype=float)
+        out = np.array([float(t) for t in text.split(",")], dtype=float)
     except ValueError as exc:
         raise InputError(f"cannot parse float list {text!r}") from exc
+    if not np.isfinite(out).all():
+        raise InputError(f"non-finite entry in {text!r}")
+    return out
 
 
 def _load_problem(args) -> DCForm:
@@ -103,7 +106,7 @@ def _load_problem(args) -> DCForm:
         try:
             d, l, s, seed = (int(p) for p in parts)
             return generate_pa(seed, d, l, s, scale=args.scale)
-        except (ValueError, GenerationFailure) as exc:
+        except ValueError as exc:
             raise InputError(f"generation failed: {exc}") from exc
     raise InputError("need --problem FILE or --generate d,l,s,seed")
 
@@ -119,20 +122,17 @@ def _start_point(args, d: int) -> np.ndarray:
 
 def _run_method(method: str, f: DCForm, x0: np.ndarray, args):
     """Run one method; returns (status, final_x, final_f, n_steps, trace_dict, trace_csv)."""
-    try:  # the runs reject arguments such as max_iter < 0 with ValueError
-        if method == "mgcd":
-            run = mgcd_run(f, x0, tol=args.tol, max_iter=args.max_iter)
-        elif method == "mcd":
-            run = mcd_run(f, x0, mu=args.mu, tol=args.tol, max_iter=args.max_iter)
-        elif method == "mhd":
-            tol = args.tol
-            if tol is None:  # the data scale is zero only for f = 0, which any positive tol certifies
-                tol = max(_default_tol(global_codiff(f, x0), evaluate(f, x0)), np.finfo(float).tiny)
-            cfg = MHDConfig(stop_tol=tol, max_iter=args.max_iter)
-        else:
-            raise InputError(f"unknown method {method!r}")
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if method == "mgcd":
+        run = mgcd_run(f, x0, tol=args.tol, max_iter=args.max_iter)
+    elif method == "mcd":
+        run = mcd_run(f, x0, mu=args.mu, tol=args.tol, max_iter=args.max_iter)
+    elif method == "mhd":
+        tol = args.tol
+        if tol is None:  # the data scale is zero only for f = 0, which any positive tol certifies
+            tol = max(_default_tol(global_codiff(f, x0), evaluate(f, x0)), np.finfo(float).tiny)
+        cfg = MHDConfig(stop_tol=tol, max_iter=args.max_iter)
+    else:
+        raise InputError(f"unknown method {method!r}")
     if method != "mhd":
         return run.status, run.final_x, run.final_f, run.n_steps, run.to_dict(), run.to_csv()
     if f.minus.shape[0] != 1:
@@ -216,7 +216,7 @@ def cmd_compare(args) -> int:
         t0 = time.perf_counter()
         try:
             status, _, ff, n_steps, _, _ = _run_method(method, f, x0, args)
-        except InputError as exc:
+        except ValueError as exc:
             rows.append([method, f"error: {exc}", "", "", "", ""])
             continue
         except _SOLVER_ERRORS as exc:
@@ -343,7 +343,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
+    except ValueError as exc:  # an InputError, or invalid or non-finite input to the library
         _progress(f"error: {exc}")
         return EXIT_INPUT
     except _SOLVER_ERRORS as exc:

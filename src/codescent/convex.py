@@ -155,6 +155,7 @@ def hypo_max(children: Sequence[ConvexFn], x) -> np.ndarray:
     Every vertex of every child hypodifferential is shifted by
     ``(f_i(x) - u(x), 0)`` where ``u(x)`` is the max value, so the
     offsets record how far each piece sits below the active one.
+    Coincident vertices are kept: ``min_norm_point`` accepts them.
     """
     return _max_value_and_hypo(children, x)[1]
 
@@ -168,7 +169,7 @@ def _max_value_and_hypo(children: Sequence[ConvexFn], x) -> tuple[float, np.ndar
     u = max(vals)
     H = np.concatenate(blocks)
     H[:, 0] += np.repeat(np.subtract(vals, u), [b.shape[0] for b in blocks])
-    return float(u), _merge_duplicates(H)
+    return float(u), H
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,3 @@ class ArmijoFailure(RuntimeError):
 
 class Degenerate(RuntimeError):
     """The simplex anti-cycling guard tripped."""
-
-
-class GenerationFailure(RuntimeError):
-    """A generated problem instance failed its post-hoc verification."""

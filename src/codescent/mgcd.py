@@ -191,6 +191,12 @@ def _unbounded_ray(f: DCForm) -> np.ndarray | None:
     return None
 
 
+def _check_tol(tol: float | None) -> None:
+    # a NaN or infinite tol would accept every offset, a negative one none
+    if tol is not None and not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def check_global_opt(f: DCForm, x, tol: float | None = None) -> tuple[bool, Certificate]:
     """Global-minimality test at ``x``.
 
@@ -200,6 +206,7 @@ def check_global_opt(f: DCForm, x, tol: float | None = None) -> tuple[bool, Cert
     without bound.  ``tol`` defaults to ``1e-9`` times the data scale at
     ``x`` (``pa._default_tol``), so ``c * f`` gets the verdict of ``f``.
     """
+    _check_tol(tol)
     gc = global_codiff(f, x)
     tol = _default_tol(gc, evaluate(f, x)) if tol is None else tol
     cert = _certificate(gc, tol, {}, _unbounded_ray(f))
@@ -214,6 +221,7 @@ def check_inf_stationary(f: DCForm, x, tol: float | None = None) -> bool:
     minimum-norm element has norm at most ``tol``, by default ``1e-9``
     times the data scale at ``x``.
     """
+    _check_tol(tol)
     gc = global_codiff(f, x)
     tol = _default_tol(gc, evaluate(f, x)) if tol is None else tol
     active = [j for j in range(gc.hyper.shape[0]) if gc.hyper[j, 0] <= tol]
@@ -292,6 +300,7 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step)
     """
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
+    _check_tol(tol)
     x = np.array(x0, dtype=float, ndmin=1)
     run = GlobalRun(method=method, iterates=[x], ray=_unbounded_ray(f))
     if run.ray is not None:
@@ -356,7 +365,7 @@ def mcd_run(
     """Codifferential descent with exact line searches.
 
     Candidate indices are those with hyper offset at most ``mu``
-    (``mu = inf`` keeps all of them; that is the variant with finite
+    (``mu >= 0``; ``mu = inf`` keeps all of them, the variant with finite
     global convergence).  Every candidate direction ``-v_j`` is line
     searched exactly and the best endpoint is taken; the run stops when
     no candidate yields descent.  With ``mu = inf`` the stall point is a
@@ -369,6 +378,8 @@ def mcd_run(
     ``min_j f(x + v_j / a_j)`` over descent candidates, so traces can
     be checked for per-step dominance over the explicit-step method.
     """
+    if not mu >= 0:
+        raise ValueError(f"mu must be >= 0 or inf, got {mu}")
     s = f.minus.shape[0]
 
     def step(gc: GlobalCodiff, rec: IterationRecord, run: GlobalRun, tol: float):

@@ -56,8 +56,8 @@ class MHDConfig:
     def __post_init__(self):
         if not (0.0 < self.sigma < 1.0 and 0.0 < self.gamma < 1.0):
             raise ValueError("sigma and gamma must lie in (0, 1)")
-        if self.stop_tol <= 0:
-            raise ValueError("stop_tol must be positive")
+        if not 0 < self.stop_tol < np.inf:
+            raise ValueError(f"stop_tol must be finite and positive, got {self.stop_tol}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
 

@@ -14,7 +14,9 @@ displacements, not just infinitesimally.
 The calculus operations (`codiff_affine`, `codiff_scale`, `codiff_sum`,
 `codiff_max`, `codiff_min`) combine DCForms so that the evaluation
 identity holds pointwise, and :func:`expr_to_dc` applies them
-recursively to an expression tree of affine atoms.
+recursively to an expression tree of affine atoms.  Sums and unions
+merge only rows that are exactly equal (``_merge_duplicates``) and
+scaling merges none, so ``codiff_scale(2**k, f)`` is ``2**k * f``.
 """
 
 from __future__ import annotations
@@ -31,33 +33,28 @@ from .errors import DimensionMismatch, NonFinite, SizeOverflow
 #: Default cap on piece counts produced by the combinatorial operations.
 MAX_PIECES = 10**6
 
-#: Vertices closer than this in every coordinate are merged as duplicates.
-DUP_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # vertex-array helpers
 
 
 def _merge_duplicates(rows: np.ndarray) -> np.ndarray:
-    """Drop rows equal to an earlier row within ``DUP_TOL`` coordinatewise.
+    """Drop rows exactly equal to an earlier row.
 
     Keeps the first occurrence and preserves the original row order;
-    returns ``rows`` itself when no two rows merge.
+    returns ``rows`` itself when no two rows are equal.
     """
-    m = rows.shape[0]
-    if m <= 1:
+    if rows.shape[0] <= 1:
         return rows
     order = np.lexsort(rows.T[::-1])
     srt = rows[order]
-    gap = np.abs(srt[1:] - srt[:-1]).max(axis=1)
-    if (gap >= DUP_TOL).all():
+    new = (srt[1:] != srt[:-1]).any(axis=1)
+    if new.all():
         return rows
-    gid = np.concatenate(([0], np.cumsum(gap >= DUP_TOL)))
-    rep = np.full(gid[-1] + 1, m, dtype=np.int64)
-    np.minimum.at(rep, gid, order)
-    rep.sort()
-    return rows[rep]
+    # lexsort is stable: each run of equal sorted rows starts with its first occurrence
+    first = order[np.concatenate(([True], new))]
+    first.sort()
+    return rows[first]
 
 
 def _minkowski(A: np.ndarray, B: np.ndarray, cap: int) -> np.ndarray:
@@ -186,7 +183,7 @@ class GlobalCodiff:
     ``hypo`` rows are ``(a_i - max_part(x) + <v_i, x>, v_i)`` and
     ``hyper`` rows are ``(b_j - min_part(x) + <w_j, x>, w_j)``; row order
     matches the source DCForm.  The offsets satisfy ``max_i a_i = 0``
-    and ``min_j b_j = 0``.
+    and ``min_j b_j = 0`` exactly.
     """
 
     at: np.ndarray
@@ -197,7 +194,9 @@ class GlobalCodiff:
         object.__setattr__(self, "at", _freeze(np.atleast_1d(self.at)))
         object.__setattr__(self, "hypo", _freeze(np.atleast_2d(self.hypo)))
         object.__setattr__(self, "hyper", _freeze(np.atleast_2d(self.hyper)))
-        if abs(self.hypo[:, 0].max()) > 1e-9 or abs(self.hyper[:, 0].min()) > 1e-9:
+        if not self.hypo[:, 0].max() == 0 == self.hyper[:, 0].min():
+            if not (np.isfinite(self.hypo).all() and np.isfinite(self.hyper).all()):
+                raise NonFinite("codifferential is not finite at this point")
             raise ValueError("codifferential offsets are not normalized")
 
     def expansion(self, dx: np.ndarray) -> float:
@@ -282,8 +281,8 @@ def codiff_affine(a: float, v: np.ndarray, flavor: str = "hypo") -> DCForm:
 def codiff_scale(lam: float, f: DCForm) -> DCForm:
     """DCForm of ``lam * f``; a negative ``lam`` swaps the two parts."""
     if lam >= 0:
-        return DCForm(f.d, _merge_duplicates(lam * f.plus), _merge_duplicates(lam * f.minus))
-    return DCForm(f.d, _merge_duplicates(lam * f.minus), _merge_duplicates(lam * f.plus))
+        return DCForm(f.d, lam * f.plus, lam * f.minus)
+    return DCForm(f.d, lam * f.minus, lam * f.plus)
 
 
 def _common_dim(fs) -> int:

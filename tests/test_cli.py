@@ -117,6 +117,37 @@ def test_solve_negative_max_iter_is_input_error(capsys, method):
     assert capsys.readouterr().err.strip().splitlines()[-1] == "error: max_iter must be >= 0"
 
 
+# a convex generated instance whose minimum is 6.5
+CONVEX = ("--generate", "2,4,1,0")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # an infinite tol accepted every offset: a verified global_min at f = 9
+        (["solve", *CONVEX, "--tol", "inf"], "tol must be finite and >= 0"),
+        (["solve", *CONVEX, "--tol", "inf", "--method", "mcd"], "tol must be finite"),
+        (["solve", *CONVEX, "--tol", "inf", "--method", "mhd"], "stop_tol must be finite"),
+        (["certify", *CONVEX, "--tol", "inf", "--point", "0,0"], "tol must be finite"),
+        (["solve", *CONVEX, "--tol", "nan"], "tol must be finite"),
+        (["solve", *CONVEX, "--tol=-1e-9"], "tol must be finite"),
+        (["solve", *CONVEX, "--method", "mcd", "--mu", "nan"], "mu must be >= 0"),
+        (["solve", *CONVEX, "--method", "mcd", "--mu", "-1"], "mu must be >= 0"),
+        (["certify", *CONVEX, "--point", "nan,0"], "non-finite entry"),
+        (["solve", *CONVEX, "--x0", "inf,0"], "non-finite entry"),
+        # f(x0) overflows: the codifferential there is not finite, in every method
+        (["solve", *CONVEX, "--method", "mhd", "--x0", "1e308,1e308"], "not finite"),
+        (["solve", *CONVEX, "--method", "mgcd", "--x0", "1e308,1e308"], "not finite"),
+    ],
+)
+def test_invalid_tolerances_and_non_finite_input_exit_input(capsys, argv, message):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(argv)
+    assert code == cli.EXIT_INPUT
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("error: ") and message in last
+
+
 def test_solve_csv_format(example_file, capsys):
     code, out = run_cli(
         capsys, "solve", "--problem", example_file, "--x0", "2,2", "--format", "csv"

@@ -17,7 +17,6 @@ from codescent import (
     quadratic,
     worked_example,
 )
-from codescent.pa import _merge_duplicates
 
 
 def fd_gradient(fn, x, step=1e-6):
@@ -72,13 +71,6 @@ def test_hypo_max_single_child_unchanged():
     assert np.allclose(hypo_max([f], [3.0]), f.hypodiff([3.0]))
 
 
-def test_hypo_max_dedups_coincident_vertices():
-    zero = linear(np.array([0.0]))
-    out = hypo_max([x_squared(), zero], [0.0])
-    assert out.shape == (1, 2)
-    assert np.allclose(out, [[0.0, 0.0]])
-
-
 def two_pass_hypo_max(children, x):
     """Reference: every child's value, then every child's hypodiff, shifted."""
     x = np.asarray(x, dtype=float)
@@ -89,12 +81,12 @@ def two_pass_hypo_max(children, x):
         part = f.hypodiff(x).copy()
         part[:, 0] += fi - u
         blocks.append(part)
-    return _merge_duplicates(np.vstack(blocks))
+    return np.vstack(blocks)
 
 
 def convex_zoo(seed, d):
     """One of each ConvexFn class, with nested maxima, multi-row children
-    and a repeated child (so merging has exact duplicates to drop)."""
+    and a repeated child (so the stacked blocks hold exact duplicates)."""
     r = np.random.default_rng(seed)
 
     def quad():

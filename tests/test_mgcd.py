@@ -477,3 +477,21 @@ def test_negative_max_iter_rejected(runner):
     with pytest.raises(ValueError, match="max_iter must be >= 0"):
         runner(worked_example(), X0, max_iter=-1)
     assert runner(worked_example(), X0, max_iter=0).status == "iter_limit"
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+def test_invalid_tol_rejected(tol):
+    # an infinite or NaN tol accepts every offset, a negative one none
+    f = worked_example()
+    for check in (mgcd_run, mcd_run, check_global_opt, check_inf_stationary):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            check(f, X0, tol=tol)
+    assert check_global_opt(f, [0.0, 0.0], tol=1e-12)[0]
+    assert not check_global_opt(f, X0, tol=0.0)[0]  # 0 is valid
+
+
+def test_invalid_mu_rejected():
+    for mu in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="mu must be >= 0"):
+            mcd_run(worked_example(), X0, mu=mu)
+    assert mcd_run(worked_example(), X0, mu=math.inf).status == "global_min"

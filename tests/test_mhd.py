@@ -136,6 +136,12 @@ def test_negative_max_iter_rejected():
     assert trace.status == "iter_limit" and len(trace.steps) == 1
 
 
+@pytest.mark.parametrize("stop_tol", [0.0, -1.0, np.nan, np.inf])
+def test_invalid_stop_tol_rejected(stop_tol):
+    with pytest.raises(ValueError, match="stop_tol must be finite and positive"):
+        MHDConfig(stop_tol=stop_tol)
+
+
 def test_one_callback_per_child_per_iterate():
     # each iterate costs one fused value-and-gradient call per child; every
     # Armijo trial, accepted or not, one value call per child

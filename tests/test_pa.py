@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codescent import (
@@ -24,10 +24,13 @@ from codescent import (
     expr_to_dc,
     expr_to_json,
     global_codiff,
+    mcd_run,
+    mgcd_run,
+    pa_global_min,
     translate,
     worked_example,
 )
-from codescent.pa import DUP_TOL, _merge_duplicates
+from codescent.pa import _merge_duplicates
 from codescent.problems import WORKED_EXAMPLE_HYPER, WORKED_EXAMPLE_HYPO
 from conftest import random_expr
 
@@ -107,10 +110,7 @@ def test_normalization_at_random_points(rng):
     f = worked_example()
     for _ in range(50):
         gc = global_codiff(f, rng.normal(size=2) * 3)
-        assert abs(gc.hypo[:, 0].max()) <= 1e-9
-        assert abs(gc.hyper[:, 0].min()) <= 1e-9
-        assert gc.hypo[:, 0].max() <= 1e-9 and (gc.hypo[:, 0] <= 1e-9).all()
-        assert (gc.hyper[:, 0] >= -1e-9).all()
+        assert gc.hypo[:, 0].max() == 0 == gc.hyper[:, 0].min()
 
 
 def test_translate_identity_and_consistency(rng):
@@ -143,22 +143,12 @@ def test_translate_abs_hand_computed():
 # calculus operations
 
 
-def merge_duplicates_reference(rows):
-    """``_merge_duplicates`` before its no-merge early return."""
-    m = rows.shape[0]
-    if m <= 1:
-        return rows
-    order = np.lexsort(rows.T[::-1])
-    srt = rows[order]
-    gap = np.abs(np.diff(srt, axis=0)).max(axis=1)
-    new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = gap >= DUP_TOL
-    gid = np.cumsum(new_group) - 1
-    rep = np.full(gid[-1] + 1, m, dtype=np.int64)
-    np.minimum.at(rep, gid, order)
-    rep.sort()
-    return rows[rep]
+def distinct_rows(rows):
+    """Indices of the first occurrence of each row tuple, in order."""
+    seen = {}
+    for i, row in enumerate(map(tuple, rows.tolist())):
+        seen.setdefault(row, i)
+    return list(seen.values())
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,19 +157,21 @@ def merge_duplicates_reference(rows):
     m=st.integers(0, 12),
     k=st.integers(1, 4),
     copies=st.integers(0, 6),
-    shift=st.sampled_from([0.0, 0.25, 0.5, 0.999, 1.0, 1.001, 4.0]),
+    ulps=st.sampled_from([0, 1, 2, 2**14, 2**40]),
 )
-def test_merge_duplicates_matches_reference(seed, m, k, copies, shift):
-    # rows on a coarse grid, then copies of some of them moved by
-    # shift * DUP_TOL in one coordinate: exact, inside, at and past the tolerance
+def test_merge_duplicates_matches_reference(seed, m, k, copies, ulps):
+    # rows on a coarse grid, then copies of some of them moved by ``ulps``
+    # units in the last place of one coordinate: only exact copies merge
     r = np.random.default_rng(seed)
-    rows = r.integers(-2, 3, size=(m, k)) / 4.0
-    if m:
-        dup = rows[r.integers(0, m, size=copies)]
-        dup[np.arange(copies), r.integers(0, k, size=copies)] += shift * DUP_TOL * r.choice([-1, 1], size=copies)
-        rows = r.permutation(np.vstack([rows, dup]))
+    base = r.integers(-2, 3, size=(m, k)) / 4.0
+    dup = base[r.integers(0, m, size=copies if m else 0)]
+    i, j = np.arange(len(dup)), r.integers(0, k, size=len(dup))
+    dup[i, j] += ulps * np.spacing(dup[i, j]) * r.choice([-1, 1], size=len(dup))
+    rows = r.permutation(np.vstack([base, dup]))
     out = _merge_duplicates(rows)
-    assert out.dtype == rows.dtype and np.array_equal(out, merge_duplicates_reference(rows))
+    assert out.dtype == rows.dtype and np.array_equal(out, rows[distinct_rows(rows)])
+    if ulps:  # every moved copy survives
+        assert len(out) == len(distinct_rows(base)) + len(distinct_rows(dup))
 
 
 def test_codiff_affine_flavors():
@@ -203,6 +195,33 @@ def test_codiff_scale(rng):
         x = rng.normal(size=1) * 4
         assert evaluate(neg, x) == pytest.approx(-evaluate(f, x), abs=1e-12)
         assert evaluate(zero, x) == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(-100, 100), tree=st.none() | st.integers(0, 2**32 - 1))
+@example(k=-40, tree=None)  # distinct rows closer than 1e-12 must not merge
+@example(k=-41, tree=None)
+def test_power_of_two_scaling_is_exact(k, tree):
+    # c = 2**k scales every float exactly, so the calculus, both runs and the
+    # oracle on c * f must give the answers for f, scaled bit for bit
+    if tree is None:
+        f, x0 = worked_example(), np.array([2.0, 2.0])
+    else:
+        r = np.random.default_rng(tree)
+        d = int(r.integers(1, 4))
+        f, x0 = expr_to_dc(random_expr(r, int(r.integers(1, 5)), d), d=d), np.zeros(d)
+    c = 2.0**k
+    g = codiff_scale(c, f)
+    assert np.array_equal(g.plus, c * f.plus) and np.array_equal(g.minus, c * f.minus)
+    for method in (mgcd_run, mcd_run):
+        run, scaled = method(f, x0), method(g, x0)
+        assert scaled.status == run.status
+        assert scaled.final_x.tobytes() == run.final_x.tobytes()
+        assert scaled.final_f == c * run.final_f
+    lp, scaled_lp = pa_global_min(f), pa_global_min(g)
+    assert scaled_lp.status == lp.status
+    if lp.bounded:
+        assert scaled_lp.value == c * lp.value
 
 
 def test_codiff_sum_identity_and_pointwise(rng):
