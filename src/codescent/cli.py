@@ -143,11 +143,9 @@ def _run_method(method: str, f: DCForm, x0: np.ndarray, args):
             "status": "unbounded_below",
             "ray": list(map(float, ray)),
         }, ""
-
-    def exact_ls(x, v):
-        return line_search_pa(f, x, v).alpha
-
-    trace = mhd_run(ConvexPAView(f), x0, cfg, exact_line_search=exact_ls)
+    trace = mhd_run(
+        ConvexPAView(f), x0, cfg, exact_line_search=lambda x, v: line_search_pa(f, x, v).alpha
+    )
     status = "global_min" if trace.status == "stationary" else trace.status
     return status, trace.final_x, trace.final_f, len(trace.steps) - 1, trace.to_dict(), trace.to_csv()
 
@@ -216,11 +214,9 @@ def cmd_compare(args) -> int:
         t0 = time.perf_counter()
         try:
             status, _, ff, n_steps, _, _ = _run_method(method, f, x0, args)
-        except ValueError as exc:
-            rows.append([method, f"error: {exc}", "", "", "", ""])
-            continue
-        except _SOLVER_ERRORS as exc:
-            rows.append([method, f"error: {type(exc).__name__}: {exc}", "", "", "", ""])
+        except (ValueError, *_SOLVER_ERRORS) as exc:
+            name = "" if isinstance(exc, ValueError) else f"{type(exc).__name__}: "
+            rows.append([method, f"error: {name}{exc}", "", "", "", ""])
             continue
         wall = time.perf_counter() - t0
         gap = abs(ff - lp.value) if lp.bounded else math.inf

@@ -19,8 +19,9 @@ projection is read.
 once every index is discarded a per-index certificate is attached, and
 the run claims a *global* minimum only if that certificate holds.
 ``mcd_run`` is the classic variant: it keeps all indices with hyper
-offset at most ``mu`` and replaces the explicit step by an exact line
-search along each candidate direction, moving to the best outcome.
+offset at most ``mu`` and moves to the best exact line search along
+their directions; ``line_search_pa`` finds the breakpoints of its two
+envelopes in O((l + s) log(l + s)) time and O(l + s) memory.
 
 Both are one loop, ``_descend``, with two step rules.  It anchors each
 iterate with ``global_codiff``, every projection goes through
@@ -235,48 +236,51 @@ class LineSearchResult:
     unbounded: bool = False
 
 
+def _envelope_breakpoints(offsets: np.ndarray, slopes: np.ndarray, gap: float) -> np.ndarray:
+    """The ``alpha > 0`` breakpoints of ``max_i (offsets_i + alpha * slopes_i)``
+    between lines whose slopes differ by more than ``gap``, found by one
+    sort by slope and one stack pass (the convex hull trick)."""
+    b, m = offsets.tolist(), slopes.tolist()
+    stack = []  # (offset, slope, alpha from which the line is on top)
+    for k in np.lexsort((offsets, slopes)).tolist():
+        if stack and stack[-1][1] == m[k]:  # the highest of equal slopes comes last
+            stack.pop()
+        a = -math.inf
+        while stack and (a := (stack[-1][0] - b[k]) / (m[k] - stack[-1][1])) <= stack[-1][2]:
+            stack.pop()
+        stack.append((b[k], m[k], a))
+    pairs = zip(stack, stack[1:])
+    return np.array([a for (_, m0, _), (_, m1, a) in pairs if a > 0 and m1 - m0 > gap])
+
+
 def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
     """Exact minimization of ``phi(alpha) = f(x - alpha * direction)``
     over ``alpha >= 0``.
 
     ``phi`` is one-dimensional piecewise affine; its minimizer lies at
-    ``alpha = 0`` or at a crossing of two lines within the max family
-    or within the min family, unless the recession slope is negative,
-    in which case the ray is a certificate of unboundedness.  Ties are
-    resolved toward the smallest ``alpha``.  Slope thresholds are
-    relative to the largest slope along ``direction``.
+    ``alpha = 0`` or at one of the at most ``l + s - 2`` breakpoints of
+    the max lines' upper envelope and the min lines' lower envelope,
+    found in O((l + s) log(l + s)) time and O(l + s) memory, unless the
+    recession slope is negative, in which case the ray is a certificate
+    of unboundedness.  Ties are resolved toward the smallest ``alpha``.
+    Slope thresholds are relative to the largest slope along ``direction``.
     """
-    x = np.asarray(x, dtype=float)
-    direction = np.asarray(direction, dtype=float)
+    x, direction = np.asarray(x, dtype=float), np.asarray(direction, dtype=float)
     if not np.linalg.norm(direction) > 0:
         raise ValueError("direction must be nonzero")
 
-    p = f.plus[:, 0] + f.plus[:, 1:] @ x
-    q = f.plus[:, 1:] @ direction
-    r = f.minus[:, 0] + f.minus[:, 1:] @ x
-    t = f.minus[:, 1:] @ direction
+    p, q = f.plus[:, 0] + f.plus[:, 1:] @ x, f.plus[:, 1:] @ direction
+    r, t = f.minus[:, 0] + f.minus[:, 1:] @ x, f.minus[:, 1:] @ direction
 
     scale = max(float(np.abs(q).max()), float(np.abs(t).max()))
-
-    def crossings(offsets, slopes):
-        k = offsets.size
-        if k < 2:
-            return np.empty(0)
-        i, j = np.triu_indices(k, 1)
-        dq = slopes[i] - slopes[j]
-        ok = np.abs(dq) > 1e-15 * scale
-        alpha = (offsets[i][ok] - offsets[j][ok]) / dq[ok]
-        return alpha[alpha > 0]
-
     recession = -float(q.min()) - float(t.max())
     if recession < -1e-12 * scale:
         return LineSearchResult(alpha=math.inf, value=-math.inf, unbounded=True)
 
-    cand = np.concatenate(([0.0], crossings(p, q), crossings(r, t)))
-    cand = np.sort(cand)
-    vals = np.max(p[None, :] - np.outer(cand, q), axis=1) + np.min(
-        r[None, :] - np.outer(cand, t), axis=1
-    )
+    gap = 1e-15 * scale  # closer slopes are parallel up to rounding
+    breaks = (_envelope_breakpoints(p, -q, gap), _envelope_breakpoints(-r, t, gap))
+    cand = np.sort(np.concatenate([[0.0], *breaks]))
+    vals = np.max(p - np.outer(cand, q), axis=1) + np.min(r - np.outer(cand, t), axis=1)
     best = int(np.argmin(vals))
     return LineSearchResult(alpha=float(cand[best]), value=float(vals[best]))
 

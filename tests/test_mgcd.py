@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from codescent import (
     theta_lower_bound,
     worked_example,
 )
+from codescent.mgcd import LineSearchResult
 from conftest import discard_violations, instance_grid
 
 X0 = np.array([2.0, 2.0])
@@ -128,6 +130,122 @@ def test_line_search_matches_dense_scan(rng):
         assert res.value <= dense + 1e-9
 
 
+def all_crossings_scan(f, x, direction):
+    """The reference exact line search: ``phi`` evaluated at ``alpha = 0``
+    and at every positive crossing of two max lines or of two min lines,
+    about (l^2 + s^2) / 2 candidates, through a (candidates x l) matrix."""
+    x, direction = np.asarray(x, dtype=float), np.asarray(direction, dtype=float)
+    p, q = f.plus[:, 0] + f.plus[:, 1:] @ x, f.plus[:, 1:] @ direction
+    r, t = f.minus[:, 0] + f.minus[:, 1:] @ x, f.minus[:, 1:] @ direction
+    scale = max(float(np.abs(q).max()), float(np.abs(t).max()))
+
+    def crossings(offsets, slopes):
+        i, j = np.triu_indices(offsets.size, 1)
+        dq = slopes[i] - slopes[j]
+        ok = np.abs(dq) > 1e-15 * scale
+        alpha = (offsets[i][ok] - offsets[j][ok]) / dq[ok]
+        return alpha[alpha > 0]
+
+    if -float(q.min()) - float(t.max()) < -1e-12 * scale:
+        return LineSearchResult(alpha=math.inf, value=-math.inf, unbounded=True)
+    cand = np.sort(np.concatenate(([0.0], crossings(p, q), crossings(r, t))))
+    vals = np.max(p - np.outer(cand, q), axis=1) + np.min(r - np.outer(cand, t), axis=1)
+    best = int(np.argmin(vals))
+    return LineSearchResult(alpha=float(cand[best]), value=float(vals[best]))
+
+
+@st.composite
+def line_search_cases(draw):
+    """A DCForm with d <= 4, l <= 12, s <= 6, a start and a nonzero
+    direction.  Half the cases are integer families whose rows come from
+    a few gradients and offsets, so that slopes repeat, rows coincide and
+    crossings tie exactly."""
+    d, l, s = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        num = st.floats(-10, 10, allow_subnormal=False)
+        plus = draw(st.lists(st.lists(num, min_size=d + 1, max_size=d + 1), min_size=l, max_size=l))
+        minus = draw(st.lists(st.lists(num, min_size=d + 1, max_size=d + 1), min_size=s, max_size=s))
+    else:
+        num = st.integers(-3, 3)
+        grads = draw(st.lists(st.lists(num, min_size=d, max_size=d), min_size=1, max_size=3))
+
+        def rows(k):
+            return [[draw(num), *draw(st.sampled_from(grads))] for _ in range(k)]
+
+        plus, minus = rows(l), rows(s)
+    x = draw(st.lists(num, min_size=d, max_size=d))
+    # line_search_pa rejects a direction whose norm is 0 (or underflows to 0)
+    direction = draw(st.lists(num, min_size=d, max_size=d).filter(lambda v: np.linalg.norm(v) > 0))
+    return DCForm(d, plus, minus), np.array(x, dtype=float), np.array(direction, dtype=float)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=line_search_cases())
+def test_line_search_matches_all_crossings_scan(case):
+    f, x, direction = case
+    res, ref = line_search_pa(f, x, direction), all_crossings_scan(f, x, direction)
+    assert res.unbounded == ref.unbounded
+    if res.unbounded:
+        return
+    reach = 1 + np.abs(x).sum() + max(res.alpha, ref.alpha) * np.abs(direction).sum()
+    bound = 1e-12 * (np.abs(f.plus).max() + np.abs(f.minus).max()) * reach
+    assert res.value == pytest.approx(ref.value, abs=bound)
+    assert evaluate(f, x - res.alpha * direction) == pytest.approx(res.value, abs=bound)
+
+
+def test_line_search_plateau_takes_left_end():
+    # f = max(1 - x, 0, x - 3) is 0 on [1, 3]
+    f = DCForm(1, [[1, -1], [0, 0], [-3, 1]], [[0, 0]])
+    res = line_search_pa(f, [0.0], [-1.0])
+    assert (res.alpha, res.value) == (1.0, 0.0)
+
+
+def test_line_search_single_rows():
+    # no breakpoints: phi is affine, so alpha = 0 or a ray
+    f = DCForm(1, [[2, 2]], [[-1, -1]])  # f = 1 + x
+    assert line_search_pa(f, [3.0], [-1.0]) == LineSearchResult(alpha=0.0, value=4.0)
+    assert line_search_pa(f, [3.0], [1.0]).unbounded
+    flat = DCForm(1, [[2, 1]], [[-1, -1]])  # f = 1
+    assert line_search_pa(flat, [3.0], [1.0]) == LineSearchResult(alpha=0.0, value=1.0)
+
+
+def test_line_search_direction_orthogonal_to_min_part():
+    # f = |x_1| + min(x_2 - 1, 1 - x_2); along (1, 0) every t_j = 0
+    f = DCForm(2, [[0, 1, 0], [0, -1, 0]], [[-1, 0, 1], [1, 0, -1]])
+    res = line_search_pa(f, [3.0, 0.0], [1.0, 0.0])
+    assert (res.alpha, res.value) == (3.0, -1.0)
+
+
+def test_line_search_lines_cross_at_zero():
+    # f = max(2x, -2x) + min(x, -x) = |x|; both families cross at alpha = 0
+    f = DCForm(1, [[0, 2], [0, -2]], [[0, 1], [0, -1]])
+    for direction in (-1.0, 1.0):
+        assert line_search_pa(f, [0.0], [direction]) == LineSearchResult(alpha=0.0, value=0.0)
+
+
+def test_line_search_near_parallel_slopes_no_far_step():
+    # max-part slopes g and g (1 + eps) are parallel up to rounding; they
+    # cross at alpha ~ 1e16, where phi's rounding error is about 1
+    g, x = 0.213643, [-0.37760500712699807]
+    f = DCForm(1, [[0.21732193, g], [2.11783876, g * (1 + np.finfo(float).eps)]], [[-1.11202076, -g]])
+    res = line_search_pa(f, x, [1.0])
+    assert (res.alpha, res.value) == (0.0, evaluate(f, x))
+
+
+def test_line_search_memory_top_rung():
+    # the (20, 400, 40) top rung, drawn directly: generate_pa cannot draw d = 20
+    rng = np.random.default_rng(0)
+    f = DCForm(20, rng.normal(size=(400, 21)), rng.normal(size=(40, 21)))
+    x, direction = rng.normal(size=20), rng.normal(size=20)
+    tracemalloc.start()
+    try:
+        line_search_pa(f, x, direction)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 # ---------------------------------------------------------------------------
 # MGCD
 
@@ -217,6 +335,17 @@ def test_scaled_instance_certified(method, k):
     run = method(f, [1.0, 2.0, -1.0], max_iter=100_000)
     assert run.status == "global_min"
     assert run.final_f / c == pytest.approx(-4.2, abs=1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="tol grows with the offsets far from the data (ROADMAP item 2)")
+@pytest.mark.parametrize("method", [mgcd_run, mcd_run])
+def test_no_false_certificate_far_from_data(method):
+    # the default tol is 1e-9 times the offsets at x0, 8e-3 at (1e6, 1e6);
+    # MGCD then certifies f = 4,999,995 and MCD f = 1,000,006
+    f = generate_pa(0, 2, 4, 1)
+    fstar = pa_global_min(f).value  # 6.5
+    run = method(f, [1e6, 1e6])
+    assert not (run.status == "global_min" and run.final_f > fstar + 1)
 
 
 # ---------------------------------------------------------------------------
