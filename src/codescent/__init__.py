@@ -20,9 +20,6 @@ from .convex import (
     SmoothConvex,
     check_amenable,
     check_lipschitz_approx,
-    hypo_max,
-    hypo_smooth,
-    hypo_sum,
     linear,
     quadratic,
 )
@@ -125,9 +122,6 @@ __all__ = [
     "generate_pa",
     "global_codiff",
     "hyper_grad",
-    "hypo_max",
-    "hypo_smooth",
-    "hypo_sum",
     "line_search_pa",
     "linear",
     "max_quadratics",

@@ -129,7 +129,8 @@ def _run_method(method: str, f: DCForm, x0: np.ndarray, args):
     elif method == "mhd":
         tol = args.tol
         if tol is None:  # the data scale is zero only for f = 0, which any positive tol certifies
-            tol = max(_default_tol(global_codiff(f, x0), evaluate(f, x0)), np.finfo(float).tiny)
+            gc = global_codiff(f, x0)
+            tol = max(_default_tol(evaluate(f, x0), gc.hypo, gc.hyper), np.finfo(float).tiny)
         cfg = MHDConfig(stop_tol=tol, max_iter=args.max_iter)
     else:
         raise InputError(f"unknown method {method!r}")
@@ -161,7 +162,8 @@ def cmd_solve(args) -> int:
     verified = None
     if status == "global_min":
         lp = pa_global_min(f)
-        tol = _default_tol(global_codiff(f, x0), evaluate(f, x0)) if args.tol is None else args.tol
+        gc = global_codiff(f, x0)
+        tol = _default_tol(evaluate(f, x0), gc.hypo, gc.hyper) if args.tol is None else args.tol
         verified = lp.bounded and abs(ff - lp.value) <= tol
         if not verified:
             _progress(f"VERIFICATION FAILED: claimed {ff}, oracle {lp.value if lp.bounded else 'unbounded'}")

@@ -7,10 +7,11 @@ whose convex hull gives a one-sided model
     f(y) - f(x) >= a + <v, y - x>   for every vertex (a, v) at x,
 
 with the offsets normalized so that ``max_a = 0``.  Smooth atoms carry
-the singleton ``{(0, grad f(x))}``; nonnegative combinations and
-pointwise maxima compose via :func:`hypo_sum` and :func:`hypo_max`,
-which preserve both the one-sided (amenability) property and the
-quadratic remainder bound used by the descent rate analysis.
+the singleton ``{(0, grad f(x))}``; nonnegative combinations take the
+Minkowski sum of the scaled child sets and pointwise maxima their shifted
+union, which preserve both the one-sided (amenability) property and the
+quadratic remainder bound used by the descent rate analysis.  Each class
+applies its rule in its one primitive, ``value_and_hypodiff``.
 
 The two ``check_*`` functions are sampling-based falsifiers for those
 properties; the definitions quantify over whole convex regions, so the
@@ -25,24 +26,28 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .pa import _merge_duplicates, evaluate, global_codiff
+from .pa import MAX_PIECES, _check_point, _default_tol, _minkowski, evaluate
 
 
 class ConvexFn:
-    """Base class: a convex function with a hypodifferential oracle."""
+    """Base class: a convex function with a hypodifferential oracle.
+
+    ``value_and_hypodiff(x)`` is the one primitive: the value and a vertex
+    set ``(m, d + 1)`` of the hypodifferential at ``x``, in one pass with
+    one callback per smooth atom.  ``value`` alone serves the Armijo
+    trials.  Each class body repeats ``hypodiff(x)`` as
+    ``value_and_hypodiff(x)[1]`` because the benchmark's trace
+    (``perfbench/spans.py``) wraps the ``value`` and ``hypodiff`` found
+    in each class's own namespace.
+    """
 
     d: int
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
-    def hypodiff(self, x: np.ndarray) -> np.ndarray:
-        """Vertex set ``(m, d + 1)`` of the hypodifferential at ``x``."""
-        raise NotImplementedError
-
     def value_and_hypodiff(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(value(x), hypodiff(x))``; subclasses override it to share work."""
-        return self.value(x), self.hypodiff(x)
+        raise NotImplementedError
 
     def __call__(self, x) -> float:
         return self.value(np.asarray(x, dtype=float))
@@ -68,11 +73,14 @@ class SmoothConvex(ConvexFn):
         return np.asarray(self.fn(x)[1], dtype=float)
 
     def hypodiff(self, x):
-        return hypo_smooth(self, x)
+        return self.value_and_hypodiff(x)[1]
 
     def value_and_hypodiff(self, x):
         fx, g = self.fn(np.asarray(x, dtype=float))
-        return float(fx), _gradient_vertex(g)
+        g = np.asarray(g, dtype=float)
+        if not np.isfinite(g).all():
+            raise NonFinite("gradient is not finite")
+        return float(fx), np.concatenate(([0.0], g))[None, :]
 
 
 class ConvexCombination(ConvexFn):
@@ -92,7 +100,16 @@ class ConvexCombination(ConvexFn):
         return float(sum(w * f.value(x) for w, f in self.terms))
 
     def hypodiff(self, x):
-        return hypo_sum(self.terms, x)
+        return self.value_and_hypodiff(x)[1]
+
+    def value_and_hypodiff(self, x):
+        # Minkowski sums from the zero row, capped and merged as in codiff_sum;
+        # fx sums in the order value sums
+        fx, H = 0, np.zeros((1, self.d + 1))
+        for w, f in self.terms:
+            fi, Hi = f.value_and_hypodiff(x)
+            fx, H = fx + w * fi, _minkowski(H, w * Hi, MAX_PIECES)
+        return float(fx), H
 
 
 class MaxOf(ConvexFn):
@@ -110,66 +127,17 @@ class MaxOf(ConvexFn):
         return float(max(f.value(x) for f in self.children))
 
     def hypodiff(self, x):
-        return hypo_max(self.children, x)
+        return self.value_and_hypodiff(x)[1]
 
     def value_and_hypodiff(self, x):
-        return _max_value_and_hypo(self.children, x)
-
-
-# ---------------------------------------------------------------------------
-# calculus at a point
-
-
-def hypo_smooth(fn: SmoothConvex, x) -> np.ndarray:
-    """Hypodifferential of a smooth convex atom: ``{(0, grad f(x))}``."""
-    return _gradient_vertex(fn.gradient(np.asarray(x, dtype=float)))
-
-
-def _gradient_vertex(g) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
-        raise NonFinite("gradient is not finite")
-    return np.concatenate(([0.0], g))[None, :]
-
-
-def hypo_sum(terms: Sequence[tuple[float, ConvexFn]], x) -> np.ndarray:
-    """Minkowski sum of scaled child hypodifferentials at ``x``."""
-    x = np.asarray(x, dtype=float)
-    out = None
-    for w, f in terms:
-        if w < 0:
-            raise ValueError("weights must be nonnegative")
-        part = w * f.hypodiff(x)
-        if out is None:
-            out = part
-        else:
-            if part.shape[1] != out.shape[1]:
-                raise DimensionMismatch("terms have mixed dimensions")
-            out = (out[:, None, :] + part[None, :, :]).reshape(-1, out.shape[1])
-    return _merge_duplicates(out)
-
-
-def hypo_max(children: Sequence[ConvexFn], x) -> np.ndarray:
-    """Hypodifferential of ``max_i f_i`` at ``x``.
-
-    Every vertex of every child hypodifferential is shifted by
-    ``(f_i(x) - u(x), 0)`` where ``u(x)`` is the max value, so the
-    offsets record how far each piece sits below the active one.
-    Coincident vertices are kept: ``min_norm_point`` accepts them.
-    """
-    return _max_value_and_hypo(children, x)[1]
-
-
-def _max_value_and_hypo(children: Sequence[ConvexFn], x) -> tuple[float, np.ndarray]:
-    # one value_and_hypodiff call per child; the blocks are stacked once
-    x = np.asarray(x, dtype=float)
-    vals, blocks = zip(*(f.value_and_hypodiff(x) for f in children))
-    if len({b.shape[1] for b in blocks}) > 1:
-        raise DimensionMismatch("children have mixed dimensions")
-    u = max(vals)
-    H = np.concatenate(blocks)
-    H[:, 0] += np.repeat(np.subtract(vals, u), [b.shape[0] for b in blocks])
-    return float(u), H
+        # child i's vertices shift by (f_i(x) - u(x), 0), u(x) the max value, so
+        # the offsets record how far each piece sits below the active one;
+        # coincident vertices are kept, as min_norm_point accepts them
+        vals, blocks = zip(*(f.value_and_hypodiff(x) for f in self.children))
+        u = max(vals)
+        H = np.concatenate(blocks)
+        H[:, 0] += np.repeat(np.subtract(vals, u), [b.shape[0] for b in blocks])
+        return float(u), H
 
 
 # ---------------------------------------------------------------------------
@@ -193,53 +161,58 @@ class LipschitzReport:
     worst_y: np.ndarray | None
 
 
-def check_amenable(f: ConvexFn, samples_x, samples_y, tol: float = 1e-9) -> AmenabilityReport:
+def _sample_tol(at_x, fys: list) -> float:
+    """``pa._default_tol`` over the ``(f(x), hypodiff)`` pairs ``at_x`` and the values ``fys``."""
+    fxs = [fx for fx, _ in at_x]
+    return _default_tol(max(map(abs, fxs + fys), default=0.0), *(H for _, H in at_x))
+
+
+def check_amenable(f: ConvexFn, samples_x, samples_y, tol: float | None = None) -> AmenabilityReport:
     """Test the one-sided inequality on all sampled pairs.
 
     For every ``x`` in ``samples_x``, every ``y`` in ``samples_y`` and
     every vertex ``(a, v)`` of the hypodifferential at ``x``, the
     violation ``a + <v, y - x> - (f(y) - f(x))`` must stay below
-    ``tol``; the report carries the worst one found.
+    ``tol``, by default ``1e-9`` times the data scale of the samples;
+    the report carries the worst one found.
     """
-    worst = -np.inf
-    wx = wy = None
+    worst, wx, wy = -np.inf, None, None
     xs = [np.atleast_1d(np.asarray(p, dtype=float)) for p in samples_x]
     ys = [np.atleast_1d(np.asarray(p, dtype=float)) for p in samples_y]
-    for x in xs:
-        H = f.hypodiff(x)
-        fx = f.value(x)
-        for y in ys:
-            model = np.max(H[:, 0] + H[:, 1:] @ (y - x))
-            gap = float(model - (f.value(y) - fx))
+    at_x = [f.value_and_hypodiff(x) for x in xs]
+    fys = [f.value(y) for y in ys]
+    for x, (fx, H) in zip(xs, at_x):
+        for y, fy in zip(ys, fys):
+            gap = float(np.max(H[:, 0] + H[:, 1:] @ (y - x)) - (fy - fx))
             if gap > worst:
                 worst, wx, wy = gap, x, y
+    tol = _sample_tol(at_x, fys) if tol is None else tol
     return AmenabilityReport(ok=worst <= tol, worst_violation=worst, worst_x=wx, worst_y=wy)
 
 
-def check_lipschitz_approx(f: ConvexFn, L: float, pairs, tol: float = 1e-9) -> LipschitzReport:
+def check_lipschitz_approx(f: ConvexFn, L: float, pairs, tol: float | None = None) -> LipschitzReport:
     """Test the quadratic remainder bound on sampled pairs.
 
     Verifies ``|f(y) - f(x) - max_(a,v) (a + <v, y - x>)|
     <= (L/2) ||y - x||^2 + tol`` for each pair and reports the worst
     excess over the bound and the worst remainder-to-bound ratio.
+    ``tol`` defaults to ``1e-9`` times the data scale of the samples.
     """
     if L <= 0:
         raise ValueError("L must be positive")
-    worst_excess = -np.inf
-    worst_ratio = 0.0
-    wx = wy = None
-    for x, y in pairs:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        H = f.hypodiff(x)
-        model = np.max(H[:, 0] + H[:, 1:] @ (y - x))
-        remainder = abs(f.value(y) - f.value(x) - model)
+    worst_excess, worst_ratio, wx, wy = -np.inf, 0.0, None, None
+    pairs = [[np.atleast_1d(np.asarray(p, dtype=float)) for p in pair] for pair in pairs]
+    at_x = [f.value_and_hypodiff(x) for x, _ in pairs]
+    fys = [f.value(y) for _, y in pairs]
+    for (x, y), (fx, H), fy in zip(pairs, at_x, fys):
+        remainder = abs(fy - fx - np.max(H[:, 0] + H[:, 1:] @ (y - x)))
         bound = 0.5 * L * float((y - x) @ (y - x))
         excess = remainder - bound
         if excess > worst_excess:
             worst_excess, wx, wy = excess, x, y
         if bound > 0:
             worst_ratio = max(worst_ratio, remainder / bound)
+    tol = _sample_tol(at_x, fys) if tol is None else tol
     return LipschitzReport(
         ok=worst_excess <= tol,
         worst_excess=float(worst_excess),
@@ -268,8 +241,19 @@ class ConvexPAView(ConvexFn):
         return float(evaluate(self._f, x))
 
     def hypodiff(self, x):
-        gc = global_codiff(self._f, np.asarray(x, dtype=float))
-        return gc.hypo + gc.hyper[0]
+        return self.value_and_hypodiff(x)[1]
+
+    def value_and_hypodiff(self, x):
+        # one product per part, formed as evaluate forms it; the rows are
+        # global_codiff(f, x).hypo + .hyper[0] and the value evaluate(f, x)
+        f = self._f
+        x = _check_point(f.d, x)
+        lo = f.plus[:, 0] + x @ f.plus[:, 1:].T
+        H = f.plus + np.concatenate(([0.0], f.minus[0, 1:]))
+        H[:, 0] = lo - lo.max()
+        if not np.isfinite(H).all():
+            raise NonFinite("codifferential is not finite at this point")
+        return float(lo.max() + (f.minus[:, 0] + x @ f.minus[:, 1:].T)[0]), H
 
 
 def quadratic(H: np.ndarray, b: np.ndarray, c: float = 0.0) -> SmoothConvex:

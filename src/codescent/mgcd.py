@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonFinite
 from .minnorm import min_norm_point
 from .pa import DCForm, GlobalCodiff, _csv_text, _default_tol, _record_dict, evaluate, global_codiff
 
@@ -209,7 +210,7 @@ def check_global_opt(f: DCForm, x, tol: float | None = None) -> tuple[bool, Cert
     """
     _check_tol(tol)
     gc = global_codiff(f, x)
-    tol = _default_tol(gc, evaluate(f, x)) if tol is None else tol
+    tol = _default_tol(evaluate(f, x), gc.hypo, gc.hyper) if tol is None else tol
     cert = _certificate(gc, tol, {}, _unbounded_ray(f))
     return cert.is_global, cert
 
@@ -224,7 +225,7 @@ def check_inf_stationary(f: DCForm, x, tol: float | None = None) -> bool:
     """
     _check_tol(tol)
     gc = global_codiff(f, x)
-    tol = _default_tol(gc, evaluate(f, x)) if tol is None else tol
+    tol = _default_tol(evaluate(f, x), gc.hypo, gc.hyper) if tol is None else tol
     active = [j for j in range(gc.hyper.shape[0]) if gc.hyper[j, 0] <= tol]
     return all(np.linalg.norm(p) <= tol for p in _project(gc, active).values())
 
@@ -266,7 +267,9 @@ def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
     Slope thresholds are relative to the largest slope along ``direction``.
     """
     x, direction = np.asarray(x, dtype=float), np.asarray(direction, dtype=float)
-    if not np.linalg.norm(direction) > 0:
+    if not np.isfinite(direction).all():
+        raise NonFinite("direction is not finite")
+    if not direction.any():
         raise ValueError("direction must be nonzero")
 
     p, q = f.plus[:, 0] + f.plus[:, 1:] @ x, f.plus[:, 1:] @ direction
@@ -315,7 +318,7 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step)
         if run.ray is not None or n == max_iter:
             return run
         gc = global_codiff(f, x)
-        tol = _default_tol(gc, rec.f) if tol is None else tol
+        tol = _default_tol(rec.f, gc.hypo, gc.hyper) if tol is None else tol
         x = step(gc, rec, run, tol)
         if x is None:
             return run

@@ -246,13 +246,14 @@ def translate(f: DCForm, gc: GlobalCodiff, y) -> GlobalCodiff:
     return global_codiff(f, y)
 
 
-def _default_tol(gc: GlobalCodiff, value: float) -> float:
+def _default_tol(value: float, *rows: np.ndarray) -> float:
     """The one default for "numerically zero" in a certificate: ``1e-9``
-    times ``max(|value|, max |entry of gc|)`` for a function with value
-    ``value`` and codifferential ``gc`` at a point.  The scale is ``c``
-    times larger for ``c * f`` and fixed when ``f`` and the point are
-    translated together, so no verdict read against it depends on units."""
-    return 1e-9 * max(abs(value), float(np.abs(gc.hypo).max()), float(np.abs(gc.hyper).max()))
+    times the largest of ``|value|`` and every ``|entry|`` of ``rows``, for
+    a function with value ``value`` and (co)differential rows ``rows`` at a
+    point.  The scale is ``c`` times larger for ``c * f`` and fixed when
+    ``f`` and the point are translated together, so no verdict read
+    against it depends on units."""
+    return 1e-9 * max([abs(value)] + [float(np.abs(r).max()) for r in rows])
 
 
 # ---------------------------------------------------------------------------

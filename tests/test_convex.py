@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +10,17 @@ from codescent import (
     ConvexPAView,
     DCForm,
     MaxOf,
+    SizeOverflow,
+    SmoothConvex,
     check_amenable,
     check_lipschitz_approx,
-    hypo_max,
-    hypo_smooth,
-    hypo_sum,
+    evaluate,
+    global_codiff,
     linear,
     quadratic,
     worked_example,
 )
+from codescent.pa import _merge_duplicates
 
 
 def fd_gradient(fn, x, step=1e-6):
@@ -43,32 +47,32 @@ def x_squared():  # x^2 on R
 
 
 def test_hypo_smooth_examples():
-    assert np.allclose(hypo_smooth(sq_half(), [1.0, 2.0]), [[0.0, 1.0, 2.0]])
+    assert np.allclose(sq_half().hypodiff([1.0, 2.0]), [[0.0, 1.0, 2.0]])
     c = np.array([3.0, -1.0])
-    assert np.allclose(hypo_smooth(linear(c), [9.0, 9.0]), [[0.0, 3.0, -1.0]])
-    assert np.allclose(hypo_smooth(x_squared(), [3.0]), [[0.0, 6.0]])
+    assert np.allclose(linear(c).hypodiff([9.0, 9.0]), [[0.0, 3.0, -1.0]])
+    assert np.allclose(x_squared().hypodiff([3.0]), [[0.0, 6.0]])
 
 
 def test_hypo_sum_examples():
     f = x_squared()
-    one = hypo_sum([(1.0, f)], [2.0])
+    one = ConvexCombination([(1.0, f)]).hypodiff([2.0])
     assert np.allclose(one, f.hypodiff([2.0]))
-    both = hypo_sum([(1.0, x_squared()), (1.0, linear(np.array([1.0])))], [2.0])
+    both = ConvexCombination([(1.0, x_squared()), (1.0, linear(np.array([1.0])))]).hypodiff([2.0])
     assert np.allclose(both, [[0.0, 5.0]])
-    scaled = hypo_sum([(2.0, f), (0.0, linear(np.array([7.0])))], [2.0])
+    scaled = ConvexCombination([(2.0, f), (0.0, linear(np.array([7.0])))]).hypodiff([2.0])
     assert np.allclose(scaled, [[0.0, 8.0]])
     with pytest.raises(ValueError):
-        hypo_sum([(-1.0, f)], [0.0])
+        ConvexCombination([(-1.0, f)])
 
 
 def test_hypo_max_affine_pair():
-    out = hypo_max([linear(np.array([1.0])), linear(np.array([-1.0]))], [1.0])
+    out = MaxOf([linear(np.array([1.0])), linear(np.array([-1.0]))]).hypodiff([1.0])
     assert np.allclose(out, [[0.0, 1.0], [-2.0, -1.0]])
 
 
 def test_hypo_max_single_child_unchanged():
     f = x_squared()
-    assert np.allclose(hypo_max([f], [3.0]), f.hypodiff([3.0]))
+    assert np.allclose(MaxOf([f]).hypodiff([3.0]), f.hypodiff([3.0]))
 
 
 def two_pass_hypo_max(children, x):
@@ -82,6 +86,29 @@ def two_pass_hypo_max(children, x):
         part[:, 0] += fi - u
         blocks.append(part)
     return np.vstack(blocks)
+
+
+def hypo_sum_reference(terms, x):
+    """Reference: the Minkowski sum of the scaled child hypodiffs, merged once."""
+    x = np.asarray(x, dtype=float)
+    out = None
+    for w, f in terms:
+        part = w * f.hypodiff(x)
+        out = part if out is None else (out[:, None, :] + part[None, :, :]).reshape(-1, out.shape[1])
+    return _merge_duplicates(out)
+
+
+def fused_reference(f, x):
+    """``(value, hypodiff)`` of ``f`` at ``x`` from a reference computation
+    apart from ``f.value_and_hypodiff``."""
+    if isinstance(f, MaxOf):
+        return f.value(x), two_pass_hypo_max(f.children, x)
+    if isinstance(f, ConvexCombination):
+        return f.value(x), hypo_sum_reference(f.terms, x)
+    if isinstance(f, ConvexPAView):
+        gc = global_codiff(f._f, x)
+        return evaluate(f._f, x), gc.hypo + gc.hyper[0]
+    return f.value(x), np.concatenate(([0.0], f.gradient(x)))[None, :]
 
 
 def convex_zoo(seed, d):
@@ -109,8 +136,37 @@ def test_value_and_hypodiff_is_bitwise_the_two_calls(seed, d, scale):
         assert type(fx) is float and fx == f.value(x)
         ref = f.hypodiff(x)
         assert H.dtype == ref.dtype and np.array_equal(H, ref)
-        if isinstance(f, MaxOf):
-            assert np.array_equal(hypo_max(f.children, x), two_pass_hypo_max(f.children, x))
+        ref_fx, ref_H = fused_reference(f, x)
+        assert fx == ref_fx and H.dtype == ref_H.dtype and np.array_equal(H, ref_H)
+
+
+def test_combination_one_callback_per_smooth_child():
+    calls = []
+
+    def counted(atom):
+        fn = atom.fn
+        atom.fn = lambda x: (calls.append(atom), fn(x))[1]
+        return atom
+
+    atoms = [counted(sq_half()), counted(linear(np.array([1.0, -2.0]))), counted(sq_half())]
+    f = ConvexCombination([(0.5, atoms[0]), (2.0, MaxOf([atoms[1], atoms[2]]))])
+    f.value_and_hypodiff(np.array([1.0, 2.0]))
+    assert calls == atoms
+
+
+def test_combination_piece_cap():
+    # the sum of two maxima of 1,001 affine atoms would have 1,002,001 > MAX_PIECES
+    # vertices; the cap is checked before any of them is built
+    rng = np.random.default_rng(0)
+    f = ConvexCombination([(1.0, MaxOf([linear(v) for v in rng.normal(size=(1001, 2))])) for _ in range(2)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeOverflow):
+            f.value_and_hypodiff(np.zeros(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_hypo_max_exact_for_affine_children(rng):
@@ -174,10 +230,10 @@ def test_amenable_max_of_affines():
 
 def test_amenable_negative_control():
     class Corrupted(MaxOf):
-        def hypodiff(self, x):
-            H = super().hypodiff(x).copy()
+        def value_and_hypodiff(self, x):
+            fx, H = super().value_and_hypodiff(x)
             H[:, 0] += 1.0
-            return H
+            return fx, H
 
     f = Corrupted([linear(np.array([1.0])), linear(np.array([-1.0]))])
     pts = grid(-2, 2, 20, 1)
@@ -195,6 +251,19 @@ def test_amenability_preserved_by_composition(rng):
     comp = MaxOf([ConvexCombination([(1.5, atoms[0]), (0.5, atoms[2])]), atoms[1]])
     pts = [rng.normal(size=2) * 2 for _ in range(25)]
     assert check_amenable(comp, pts, pts, tol=1e-9).ok
+
+
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_checkers_scale_free(k):
+    # the default tol follows the data: scaling f by 2**k keeps both verdicts,
+    # for a correct quadratic and for one whose gradient is off by 1
+    broken = SmoothConvex(1, lambda x: (x @ x, 2 * x + 1), lipschitz_grad=2.0)
+    pts = grid(-2, 2, 21, 1)
+    pairs = [(x, y) for x in pts for y in pts]
+    for f, ok in ((x_squared(), True), (broken, False)):
+        scaled = ConvexCombination([(2.0**k, f)])
+        assert check_amenable(scaled, pts, pts).ok == ok
+        assert check_lipschitz_approx(scaled, 2.0 ** (k + 1), pairs).ok == ok
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from codescent import (
     DCForm,
+    NonFinite,
     check_global_opt,
     check_inf_stationary,
     evaluate,
@@ -174,7 +175,8 @@ def line_search_cases(draw):
 
         plus, minus = rows(l), rows(s)
     x = draw(st.lists(num, min_size=d, max_size=d))
-    # line_search_pa rejects a direction whose norm is 0 (or underflows to 0)
+    # no direction whose norm underflows: its breakpoints can pass the float
+    # range; test_line_search_direction_scaling covers such directions
     direction = draw(st.lists(num, min_size=d, max_size=d).filter(lambda v: np.linalg.norm(v) > 0))
     return DCForm(d, plus, minus), np.array(x, dtype=float), np.array(direction, dtype=float)
 
@@ -198,6 +200,38 @@ def test_line_search_plateau_takes_left_end():
     f = DCForm(1, [[1, -1], [0, 0], [-3, 1]], [[0, 0]])
     res = line_search_pa(f, [0.0], [-1.0])
     assert (res.alpha, res.value) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("k", [-600, -100, 100, 600])
+def test_line_search_direction_scaling(k):
+    # phi along 2**k * d is phi along d at alpha * 2**k, with every product exact,
+    # so the search returns alpha / 2**k bit for bit; at k = -600 the norm of the
+    # direction underflows to 0, though the direction is not 0
+    plateau = DCForm(1, [[1, -1], [0, 0], [-3, 1]], [[0, 0]])
+    forms = [(plateau, [0.0], [-1.0]), (DCForm(1, [[0, 0]], [[0, 0]]), [0.0], [1.0])]
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        d, l, s = rng.integers(1, 5), rng.integers(1, 13), rng.integers(1, 7)
+        rows = [rng.integers(-3, 4, size=(n, d + 1)) for n in (l, s)]
+        forms.append((DCForm(d, *rows), rng.integers(-3, 4, size=d), rng.integers(-3, 4, size=d)))
+    for f, x, direction in forms:
+        direction = np.asarray(direction, dtype=float)
+        if not direction.any():
+            continue
+        ref = line_search_pa(f, x, direction)
+        res = line_search_pa(f, x, 2.0**k * direction)
+        assert (res.alpha, res.value, res.unbounded) == (ref.alpha / 2.0**k, ref.value, ref.unbounded)
+
+
+def test_line_search_direction_checks():
+    # a nonzero direction is accepted however small its norm
+    tiny = line_search_pa(DCForm(1, [[0, 0]], [[0, 0]]), [0.0], [6.3e-177])
+    assert tiny == LineSearchResult(alpha=0.0, value=0.0)
+    with pytest.raises(ValueError, match="nonzero"):
+        line_search_pa(LINE, [0.0], [0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFinite):
+            line_search_pa(LINE, [0.0], [bad])
 
 
 def test_line_search_single_rows():
