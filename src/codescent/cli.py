@@ -40,7 +40,7 @@ from .mgcd import (
 )
 from .mhd import MHDConfig, mhd_run
 from .oracle import pa_global_min
-from .pa import DCForm, _csv_text, _default_tol, evaluate, global_codiff
+from .pa import DCForm, _csv_text, evaluate, global_codiff
 from .problems import WORKED_EXAMPLE_HYPER, WORKED_EXAMPLE_HYPO, generate_pa, worked_example
 
 EXIT_OK = 0
@@ -53,7 +53,6 @@ EXIT_SOLVER = 6
 
 _STATUS_EXIT = {
     "global_min": EXIT_OK,
-    "stationary": EXIT_OK,
     "unbounded_below": EXIT_UNBOUNDED,
     "iter_limit": EXIT_ITER_LIMIT,
     "inf_stationary": EXIT_STALLED,
@@ -127,11 +126,7 @@ def _run_method(method: str, f: DCForm, x0: np.ndarray, args):
     elif method == "mcd":
         run = mcd_run(f, x0, mu=args.mu, tol=args.tol, max_iter=args.max_iter)
     elif method == "mhd":
-        tol = args.tol
-        if tol is None:  # the data scale is zero only for f = 0, which any positive tol certifies
-            gc = global_codiff(f, x0)
-            tol = max(_default_tol(evaluate(f, x0), gc.hypo, gc.hyper), np.finfo(float).tiny)
-        cfg = MHDConfig(stop_tol=tol, max_iter=args.max_iter)
+        cfg = MHDConfig(stop_tol=args.tol, max_iter=args.max_iter)
     else:
         raise InputError(f"unknown method {method!r}")
     if method != "mhd":
@@ -140,7 +135,7 @@ def _run_method(method: str, f: DCForm, x0: np.ndarray, args):
         raise InputError("--method mhd needs a convex problem (a single min-part piece)")
     ray = _unbounded_ray(f)
     if ray is not None:
-        return "unbounded_below", x0, float(evaluate(f, x0)), 0, {
+        return "unbounded_below", x0, global_codiff(f, x0).value, 0, {
             "status": "unbounded_below",
             "ray": list(map(float, ray)),
         }, ""
@@ -162,8 +157,7 @@ def cmd_solve(args) -> int:
     verified = None
     if status == "global_min":
         lp = pa_global_min(f)
-        gc = global_codiff(f, x0)
-        tol = _default_tol(evaluate(f, x0), gc.hypo, gc.hyper) if args.tol is None else args.tol
+        tol = global_codiff(f, x0).tol if args.tol is None else args.tol
         verified = lp.bounded and abs(ff - lp.value) <= tol
         if not verified:
             _progress(f"VERIFICATION FAILED: claimed {ff}, oracle {lp.value if lp.bounded else 'unbounded'}")

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .pa import MAX_PIECES, _check_point, _default_tol, _minkowski, evaluate
+from .pa import _default_tol, _minkowski, evaluate, global_codiff
 
 
 class ConvexFn:
@@ -108,7 +108,7 @@ class ConvexCombination(ConvexFn):
         fx, H = 0, np.zeros((1, self.d + 1))
         for w, f in self.terms:
             fi, Hi = f.value_and_hypodiff(x)
-            fx, H = fx + w * fi, _minkowski(H, w * Hi, MAX_PIECES)
+            fx, H = fx + w * fi, _minkowski(H, w * Hi)
         return float(fx), H
 
 
@@ -244,16 +244,8 @@ class ConvexPAView(ConvexFn):
         return self.value_and_hypodiff(x)[1]
 
     def value_and_hypodiff(self, x):
-        # one product per part, formed as evaluate forms it; the rows are
-        # global_codiff(f, x).hypo + .hyper[0] and the value evaluate(f, x)
-        f = self._f
-        x = _check_point(f.d, x)
-        lo = f.plus[:, 0] + x @ f.plus[:, 1:].T
-        H = f.plus + np.concatenate(([0.0], f.minus[0, 1:]))
-        H[:, 0] = lo - lo.max()
-        if not np.isfinite(H).all():
-            raise NonFinite("codifferential is not finite at this point")
-        return float(lo.max() + (f.minus[:, 0] + x @ f.minus[:, 1:].T)[0]), H
+        gc = global_codiff(self._f, x)
+        return gc.value, gc.hypo + gc.hyper[0]
 
 
 def quadratic(H: np.ndarray, b: np.ndarray, c: float = 0.0) -> SmoothConvex:

@@ -24,9 +24,9 @@ their directions; ``line_search_pa`` finds the breakpoints of its two
 envelopes in O((l + s) log(l + s)) time and O(l + s) memory.
 
 Both are one loop, ``_descend``, with two step rules.  It anchors each
-iterate with ``global_codiff``, every projection goes through
-``_project``, and the final certificate reuses the projections already
-made at the last iterate.  Both runs serialize to JSON and CSV.
+iterate, value included, with ``global_codiff``, every projection goes
+through ``_project``, and the final certificate reuses the projections
+already made at the last iterate.  Both runs serialize to JSON and CSV.
 
 No threshold is absolute: every "is this zero?" reads against one
 ``tol``, by default ``1e-9`` times the data scale (``pa._default_tol``),
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .minnorm import min_norm_point
-from .pa import DCForm, GlobalCodiff, _csv_text, _default_tol, _record_dict, evaluate, global_codiff
+from .pa import DCForm, GlobalCodiff, _csv_text, _record_dict, evaluate, global_codiff
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,7 @@ def check_global_opt(f: DCForm, x, tol: float | None = None) -> tuple[bool, Cert
     """
     _check_tol(tol)
     gc = global_codiff(f, x)
-    tol = _default_tol(evaluate(f, x), gc.hypo, gc.hyper) if tol is None else tol
-    cert = _certificate(gc, tol, {}, _unbounded_ray(f))
+    cert = _certificate(gc, gc.tol if tol is None else tol, {}, _unbounded_ray(f))
     return cert.is_global, cert
 
 
@@ -225,7 +224,7 @@ def check_inf_stationary(f: DCForm, x, tol: float | None = None) -> bool:
     """
     _check_tol(tol)
     gc = global_codiff(f, x)
-    tol = _default_tol(evaluate(f, x), gc.hypo, gc.hyper) if tol is None else tol
+    tol = gc.tol if tol is None else tol
     active = [j for j in range(gc.hyper.shape[0]) if gc.hyper[j, 0] <= tol]
     return all(np.linalg.norm(p) <= tol for p in _project(gc, active).values())
 
@@ -295,10 +294,11 @@ def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
 def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step) -> GlobalRun:
     """The descent loop shared by both methods.
 
-    ``tol`` defaults to ``pa._default_tol`` at ``x0``, ``1e-9`` times the
-    data scale there, so the run on ``c * f`` is the run on ``f``.  A
-    function that ``_unbounded_ray`` shows unbounded below ends the run
-    at ``x0``.
+    Each iterate, ``x0`` included, is anchored first (a point where ``f``
+    overflows raises ``NonFinite``); its record's ``f`` is ``gc.value``,
+    and ``tol`` defaults to ``gc.tol`` at ``x0``, so the run on ``c * f``
+    is the run on ``f``.  A function that ``_unbounded_ray`` shows
+    unbounded below ends the run at ``x0``.
     Otherwise each iterate gets a record and ``step(gc, rec, run, tol)``
     sees it anchored in ``gc``; the step fills the record and returns the
     next point, or None once it has set the run's status.  After
@@ -313,12 +313,12 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step)
     if run.ray is not None:
         run.status = "unbounded_below"
     for n in range(max_iter + 1):
-        rec = IterationRecord(n=n, x=x, f=evaluate(f, x))
+        gc = global_codiff(f, x)
+        rec = IterationRecord(n=n, x=x, f=gc.value)
         run.records.append(rec)
         if run.ray is not None or n == max_iter:
             return run
-        gc = global_codiff(f, x)
-        tol = _default_tol(rec.f, gc.hypo, gc.hyper) if tol is None else tol
+        tol = gc.tol if tol is None else tol
         x = step(gc, rec, run, tol)
         if x is None:
             return run

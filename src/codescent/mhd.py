@@ -25,7 +25,7 @@ import numpy as np
 from .convex import ConvexFn
 from .errors import ArmijoFailure
 from .minnorm import min_norm_point
-from .pa import _csv_text, _record_dict
+from .pa import _csv_text, _default_tol, _record_dict
 
 #: Cap on the Armijo backtracking exponent ``k``.  At the default
 #: ``gamma = 1/2``, ``gamma**60`` is below float64's relative precision
@@ -42,21 +42,21 @@ class MHDConfig:
     backtracking ratio, both in (0, 1); backtracking stops at
     ``gamma**ARMIJO_MAX_K``.  ``stop_tol`` bounds the norm of the
     minimum-norm hypodifferential element at termination, and
-    ``max_iter`` the number of steps.  ``codescent solve --method mhd``
-    sets ``stop_tol`` relative to the data unless ``--tol`` is given:
-    ``1e-9`` times ``max(|f(x0)|, max |entry of global_codiff(f, x0)|)``
+    ``max_iter`` the number of steps.  An explicit ``stop_tol`` must be
+    finite and positive; ``None`` has ``mhd_run`` derive it at ``x0``:
+    ``1e-9`` times ``max(|f(x0)|, max |entry of its hypodifferential|)``
     (``pa._default_tol``), so ``c * f`` stops where ``f`` does.
     """
 
     sigma: float = 0.1
     gamma: float = 0.5
-    stop_tol: float = 1e-8
+    stop_tol: float | None = None
     max_iter: int = 1000
 
     def __post_init__(self):
         if not (0.0 < self.sigma < 1.0 and 0.0 < self.gamma < 1.0):
             raise ValueError("sigma and gamma must lie in (0, 1)")
-        if not 0 < self.stop_tol < np.inf:
+        if self.stop_tol is not None and not 0 < self.stop_tol < np.inf:
             raise ValueError(f"stop_tol must be finite and positive, got {self.stop_tol}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
@@ -78,15 +78,16 @@ class MHDStep:
 class MHDTrace:
     """Iterate history.
 
-    ``status`` is ``"stationary"`` (certificate norm at most the stop
-    tolerance), ``"iter_limit"``, or ``"float_floor"``: the certificate
-    norm is still above the tolerance but the descent the Armijo test
-    would have to measure is smaller than the float64 resolution of the
-    objective, so no further progress is observable.
+    ``status`` is ``"stationary"`` (certificate norm at most the
+    ``stop_tol`` the run used), ``"iter_limit"``, or ``"float_floor"``:
+    the certificate norm is still above the tolerance but the descent the
+    Armijo test would have to measure is smaller than the float64
+    resolution of the objective, so no further progress is observable.
     """
 
     steps: list[MHDStep] = field(default_factory=list)
     status: str = "iter_limit"
+    stop_tol: float | None = None
 
     @property
     def values(self) -> np.ndarray:
@@ -163,20 +164,21 @@ def mhd_run(
     MHDTrace
         One row per visited iterate, including the final one, whose row
         has no step; status ``"stationary"`` once the minimum-norm
-        element has norm at most ``cfg.stop_tol`` (a global-minimum
+        element has norm at most ``trace.stop_tol`` (a global-minimum
         certificate), else ``"iter_limit"`` or ``"float_floor"`` (see
         :class:`MHDTrace`).
     """
     cfg = cfg or MHDConfig()
     x = np.array(x0, dtype=float, ndmin=1)
-    trace = MHDTrace()
+    trace = MHDTrace(stop_tol=cfg.stop_tol)
     for n in range(cfg.max_iter + 1):
         fx, H = f.value_and_hypodiff(x)
+        trace.stop_tol = _default_tol(fx, H) if trace.stop_tol is None else trace.stop_tol
         point, _ = min_norm_point(H)
         a, v = float(point[0]), point[1:]
         nrm = float(np.linalg.norm(point))
         alpha = k = status = None
-        if nrm <= cfg.stop_tol:
+        if nrm <= trace.stop_tol:
             status = "stationary"
         elif n == cfg.max_iter:
             status = "iter_limit"

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import Degenerate
 from .minnorm import min_norm_point
-from .pa import DCForm, _default_tol, global_codiff
+from .pa import DCForm, global_codiff
 
 _PIVOT_TOL = 1e-9
 _TIE_TOL = 1e-12
@@ -211,7 +211,7 @@ def classify_nonnegative(pieces: np.ndarray, tol: float | None = None) -> Nonneg
     pieces = np.atleast_2d(np.asarray(pieces, dtype=float))
     if tol is None:
         f = DCForm(pieces.shape[1] - 1, pieces, np.zeros((1, pieces.shape[1])))
-        tol = _default_tol(float(pieces[:, 0].max()), global_codiff(f, np.zeros(f.d)).hypo)
+        tol = global_codiff(f, np.zeros(f.d)).tol
     point, _ = min_norm_point(pieces)
     a0, v0 = float(point[0]), point[1:]
     lp = min_max_affine(pieces)

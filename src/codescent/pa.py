@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, SizeOverflow
 
-#: Default cap on piece counts produced by the combinatorial operations.
+#: Cap on piece counts produced by the combinatorial operations.
 MAX_PIECES = 10**6
 
 
@@ -57,11 +57,11 @@ def _merge_duplicates(rows: np.ndarray) -> np.ndarray:
     return rows[first]
 
 
-def _minkowski(A: np.ndarray, B: np.ndarray, cap: int) -> np.ndarray:
+def _minkowski(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """All pairwise sums of rows, first factor slowest."""
     n = A.shape[0] * B.shape[0]
-    if n > cap:
-        raise SizeOverflow(f"piece count {n} exceeds cap {cap}")
+    if n > MAX_PIECES:
+        raise SizeOverflow(f"piece count {n} exceeds cap {MAX_PIECES}")
     out = (A[:, None, :] + B[None, :, :]).reshape(n, A.shape[1])
     return _merge_duplicates(out)
 
@@ -183,10 +183,11 @@ class GlobalCodiff:
     ``hypo`` rows are ``(a_i - max_part(x) + <v_i, x>, v_i)`` and
     ``hyper`` rows are ``(b_j - min_part(x) + <w_j, x>, w_j)``; row order
     matches the source DCForm.  The offsets satisfy ``max_i a_i = 0``
-    and ``min_j b_j = 0`` exactly.
+    and ``min_j b_j = 0`` exactly, so ``f(at + dx) = value + expansion(dx)``.
     """
 
     at: np.ndarray
+    value: float
     hypo: np.ndarray
     hyper: np.ndarray
 
@@ -194,10 +195,15 @@ class GlobalCodiff:
         object.__setattr__(self, "at", _freeze(np.atleast_1d(self.at)))
         object.__setattr__(self, "hypo", _freeze(np.atleast_2d(self.hypo)))
         object.__setattr__(self, "hyper", _freeze(np.atleast_2d(self.hyper)))
-        if not self.hypo[:, 0].max() == 0 == self.hyper[:, 0].min():
-            if not (np.isfinite(self.hypo).all() and np.isfinite(self.hyper).all()):
+        if not (self.hypo[:, 0].max() == 0 == self.hyper[:, 0].min() and np.isfinite(self.value)):
+            if not all(np.isfinite(a).all() for a in (self.value, self.hypo, self.hyper)):
                 raise NonFinite("codifferential is not finite at this point")
             raise ValueError("codifferential offsets are not normalized")
+
+    @property
+    def tol(self) -> float:
+        """The default certificate tolerance at ``at`` (``_default_tol``)."""
+        return _default_tol(self.value, self.hypo, self.hyper)
 
     def expansion(self, dx: np.ndarray) -> float:
         """Exact increment ``f(at + dx) - f(at)`` predicted by the model."""
@@ -228,15 +234,15 @@ def evaluate(f: DCForm, x):
 
 
 def global_codiff(f: DCForm, x) -> GlobalCodiff:
-    """Anchor the exact codifferential model of ``f`` at ``x``."""
+    """Anchor the exact codifferential model of ``f`` at ``x``; its offsets
+    are formed as ``evaluate`` forms them, so ``value == evaluate(f, x)``."""
     x = _check_point(f.d, x)
-    hypo = f.plus.copy()
-    hypo[:, 0] += f.plus[:, 1:] @ x
-    hypo[:, 0] -= hypo[:, 0].max()
-    hyper = f.minus.copy()
-    hyper[:, 0] += f.minus[:, 1:] @ x
-    hyper[:, 0] -= hyper[:, 0].min()
-    return GlobalCodiff(at=x, hypo=hypo, hyper=hyper)
+    lo = f.plus[:, 0] + x @ f.plus[:, 1:].T
+    hi = f.minus[:, 0] + x @ f.minus[:, 1:].T
+    top, bottom = lo.max(), hi.min()
+    hypo, hyper = f.plus.copy(), f.minus.copy()
+    hypo[:, 0], hyper[:, 0] = lo - top, hi - bottom
+    return GlobalCodiff(at=x, value=float(top + bottom), hypo=hypo, hyper=hyper)
 
 
 def translate(f: DCForm, gc: GlobalCodiff, y) -> GlobalCodiff:
@@ -296,18 +302,18 @@ def _common_dim(fs) -> int:
     return d
 
 
-def codiff_sum(fs, max_pieces: int = MAX_PIECES) -> DCForm:
+def codiff_sum(fs) -> DCForm:
     """DCForm of ``sum(fs)``: Minkowski sums of both parts."""
     d = _common_dim(fs)
     plus = fs[0].plus
     minus = fs[0].minus
     for g in fs[1:]:
-        plus = _minkowski(plus, g.plus, max_pieces)
-        minus = _minkowski(minus, g.minus, max_pieces)
+        plus = _minkowski(plus, g.plus)
+        minus = _minkowski(minus, g.minus)
     return DCForm(d, plus, minus)
 
 
-def _max_like(fs, lead: str, max_pieces: int) -> tuple[np.ndarray, np.ndarray]:
+def _max_like(fs, lead: str) -> tuple[np.ndarray, np.ndarray]:
     """Shared construction for max (lead='plus') and min (lead='minus').
 
     For the max of functions f_m, the combined max part enumerates, for
@@ -321,26 +327,26 @@ def _max_like(fs, lead: str, max_pieces: int) -> tuple[np.ndarray, np.ndarray]:
         acc = getattr(fm, lead)
         for k, fk in enumerate(fs):
             if k != m:
-                acc = _minkowski(acc, -getattr(fk, trail), max_pieces)
+                acc = _minkowski(acc, -getattr(fk, trail))
         lead_rows.append(acc)
     lead_part = _merge_duplicates(np.vstack(lead_rows))
     trail_part = getattr(fs[0], trail)
     for g in fs[1:]:
-        trail_part = _minkowski(trail_part, getattr(g, trail), max_pieces)
+        trail_part = _minkowski(trail_part, getattr(g, trail))
     return lead_part, trail_part
 
 
-def codiff_max(fs, max_pieces: int = MAX_PIECES) -> DCForm:
+def codiff_max(fs) -> DCForm:
     """DCForm of the pointwise maximum of ``fs``."""
     d = _common_dim(fs)
-    plus, minus = _max_like(fs, "plus", max_pieces)
+    plus, minus = _max_like(fs, "plus")
     return DCForm(d, plus, minus)
 
 
-def codiff_min(fs, max_pieces: int = MAX_PIECES) -> DCForm:
+def codiff_min(fs) -> DCForm:
     """DCForm of the pointwise minimum of ``fs``."""
     d = _common_dim(fs)
-    minus, plus = _max_like(fs, "minus", max_pieces)
+    minus, plus = _max_like(fs, "minus")
     return DCForm(d, plus, minus)
 
 
@@ -421,7 +427,7 @@ def expr_eval(e: PAExpr, x) -> float:
     return float(sum(vals))
 
 
-def expr_to_dc(e: PAExpr, d: int | None = None, max_pieces: int = MAX_PIECES) -> DCForm:
+def expr_to_dc(e: PAExpr, d: int | None = None) -> DCForm:
     """Compile an expression tree into a DCForm via the calculus rules.
 
     Affine atoms take the hypo flavor under a Max and the hyper flavor
@@ -446,11 +452,11 @@ def expr_to_dc(e: PAExpr, d: int | None = None, max_pieces: int = MAX_PIECES) ->
                 child_flavor = "hyper" if flavor == "hypo" else "hypo"
             return codiff_scale(node.coef, build(node.child, child_flavor))
         if isinstance(node, Max):
-            return codiff_max([build(c, "hypo") for c in node.children], max_pieces)
+            return codiff_max([build(c, "hypo") for c in node.children])
         if isinstance(node, Min):
-            return codiff_min([build(c, "hyper") for c in node.children], max_pieces)
+            return codiff_min([build(c, "hyper") for c in node.children])
         if isinstance(node, Sum):
-            return codiff_sum([build(c, flavor) for c in node.children], max_pieces)
+            return codiff_sum([build(c, flavor) for c in node.children])
         raise TypeError(f"not a PAExpr node: {node!r}")
 
     return build(e, "hypo")

@@ -39,6 +39,7 @@ MAXQ_EIG_RANGE = (2.0, 8.0)
 MAXQ_CENTER_RADIUS = 0.3
 MAXQ_OFFSET_MAX = 0.3
 MAXQ_START_RADIUS = 0.4
+START_RADIUS = 3.0  # ``random_start`` draws coordinates in [-START_RADIUS, START_RADIUS]
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -126,10 +127,10 @@ def theta_lower_bound(d: int, scale: float = 1.0) -> float:
     return (scale * dist) ** 2
 
 
-def random_start(seed: int, d: int, radius: float = 3.0) -> np.ndarray:
+def random_start(seed: int, d: int) -> np.ndarray:
     """Deterministic starting point, decoupled from the instance stream."""
     rng = _rng((seed + 1) * 2_654_435_761 % 2**63)
-    return rng.uniform(-radius, radius, size=d)
+    return rng.uniform(-START_RADIUS, START_RADIUS, size=d)
 
 
 def worked_example() -> DCForm:

@@ -103,6 +103,18 @@ def test_solve_mhd_unbounded(tmp_path, capsys):
     assert result["trace"]["ray"] == pytest.approx([-1.0])
 
 
+@pytest.mark.parametrize("method", ["mgcd", "mcd", "mhd"])
+def test_solve_overflowing_start_exits_input(tmp_path, capsys, method):
+    # f = max(4x) + 0 is unbounded below, but f(1e308) overflows: each method
+    # anchors x0 before it reports the ray, so the start is an input error
+    prob = tmp_path / "line.json"
+    prob.write_text('{"d": 1, "plus": [{"a": 0, "v": [4]}], "minus": [{"b": 0, "w": [0]}]}')
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["solve", "--problem", str(prob), "--x0", "1e308", "--method", method])
+    assert code == cli.EXIT_INPUT
+    assert "not finite" in capsys.readouterr().err.strip().splitlines()[-1]
+
+
 def test_solve_iter_limit_exit_code(example_file, capsys):
     code, out = run_cli(capsys, "solve", "--problem", example_file, "--x0", "2,2", "--max-iter", "0")
     assert code == 3

@@ -382,6 +382,16 @@ def test_no_false_certificate_far_from_data(method):
     assert not (run.status == "global_min" and run.final_f > fstar + 1)
 
 
+@pytest.mark.xfail(strict=True, reason="tol = 0 reads rounding as descent (ROADMAP item 2)")
+@pytest.mark.parametrize("method", [mgcd_run, mcd_run])
+def test_zero_tol_certifies_worked_example(method):
+    # a valid tol of 0: MGCD keeps some a_j a few ulps below 0 near
+    # (1e-14, 9e-15) and steps until iter_limit; MCD with mu = inf stops at
+    # the minimum with inf_stationary, a status meant for a finite mu
+    run = method(worked_example(), [2.0, 2.0], tol=0.0)
+    assert run.status == "global_min"
+
+
 # ---------------------------------------------------------------------------
 # whole runs do not depend on units, piece order or the origin of x
 

@@ -5,10 +5,12 @@ import pytest
 
 from codescent import (
     ArmijoFailure,
+    ConvexCombination,
     ConvexPAView,
     MaxOf,
     MHDConfig,
     armijo_step,
+    codiff_scale,
     line_search_pa,
     generate_pa,
     max_quadratics,
@@ -16,6 +18,7 @@ from codescent import (
     pa_global_min,
     quadratic,
 )
+from codescent.problems import random_start
 from conftest import slsqp_min_of_max
 
 
@@ -111,6 +114,37 @@ def test_exact_line_search_on_convex_pa():
     assert trace.status == "stationary"
     lp = pa_global_min(f)
     assert abs(trace.final_f - lp.value) <= 1e-8
+
+
+def exact_run_scaled(k):
+    f = codiff_scale(2.0**k, generate_pa(6, 10, 40, 1))
+
+    def exact(x, v):
+        return line_search_pa(f, x, v).alpha
+
+    return mhd_run(ConvexPAView(f), random_start(6, 10), exact_line_search=exact)
+
+
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_default_stop_tol_scale_free(k):
+    # the default stop_tol is derived from the data at x0, so 2**k * f stops
+    # where f does; an absolute 1e-8 stopped at x0 for k = -40, with f 23
+    # times the minimum, and never stopped for k = 40
+    run, ref = exact_run_scaled(k), exact_run_scaled(0)
+    assert run.status == ref.status == "stationary"
+    assert len(run.steps) == len(ref.steps)
+    assert run.final_f / 2.0**k == pytest.approx(ref.final_f, rel=1e-12)
+    assert run.stop_tol == 2.0**k * ref.stop_tol
+
+
+def test_default_stop_tol_is_recorded():
+    # under a weight 2**-40 every projection is far below an absolute 1e-8,
+    # which certified x0; the derived stop_tol does not
+    fn, _, x0 = max_quadratics(0, d=4, k=3)
+    trace = mhd_run(ConvexCombination([(2**-40, fn)]), x0, MHDConfig(max_iter=0))
+    assert trace.status == "iter_limit"
+    assert 0 < trace.stop_tol < trace.steps[0].norm
+    assert mhd_run(fn, x0, MHDConfig(stop_tol=1e-3, max_iter=0)).stop_tol == 1e-3
 
 
 def test_trace_serialization_roundtrip():

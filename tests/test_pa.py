@@ -30,7 +30,7 @@ from codescent import (
     translate,
     worked_example,
 )
-from codescent.pa import _merge_duplicates
+from codescent.pa import _default_tol, _merge_duplicates
 from codescent.problems import WORKED_EXAMPLE_HYPER, WORKED_EXAMPLE_HYPO
 from conftest import random_expr
 
@@ -111,6 +111,42 @@ def test_normalization_at_random_points(rng):
     for _ in range(50):
         gc = global_codiff(f, rng.normal(size=2) * 3)
         assert gc.hypo[:, 0].max() == 0 == gc.hyper[:, 0].min()
+
+
+def global_codiff_reference(f, x):
+    """Reference rows of ``global_codiff(f, x)``: each part's offsets
+    shifted in place by ``P @ x``, then normalized."""
+    x = np.asarray(x, dtype=float)
+    hypo = f.plus.copy()
+    hypo[:, 0] += f.plus[:, 1:] @ x
+    hypo[:, 0] -= hypo[:, 0].max()
+    hyper = f.minus.copy()
+    hyper[:, 0] += f.minus[:, 1:] @ x
+    hyper[:, 0] -= hyper[:, 0].min()
+    return hypo, hyper
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 6),
+    l=st.integers(1, 12),
+    s=st.integers(1, 6),
+    k=st.integers(-60, 60),
+    kx=st.integers(-60, 60),
+)
+def test_global_codiff_carries_value_and_tol(seed, d, l, s, k, kx):
+    # the anchor is the one place that knows f(x) and the default tol there:
+    # its value is evaluate's, its tol the default rule, its rows the reference's
+    r = np.random.default_rng(seed)
+    f = DCForm(d, r.normal(size=(l, d + 1)) * 2.0**k, r.normal(size=(s, d + 1)) * 2.0**k)
+    x = r.normal(size=d) * 2.0**kx
+    gc = global_codiff(f, x)
+    fx = evaluate(f, x)
+    assert gc.value == fx
+    assert gc.tol == _default_tol(fx, gc.hypo, gc.hyper)
+    hypo, hyper = global_codiff_reference(f, x)
+    assert gc.hypo.tobytes() == hypo.tobytes() and gc.hyper.tobytes() == hyper.tobytes()
 
 
 def test_translate_identity_and_consistency(rng):
@@ -269,7 +305,8 @@ def test_codiff_max_min_pointwise(rng):
         assert evaluate(fmin, x) == pytest.approx(min(evaluate(f, x), evaluate(g, x)), abs=1e-9)
 
 
-def test_size_overflow(rng):
+def test_size_overflow(rng, monkeypatch):
+    from codescent import pa
     from codescent.pa import MAX_PIECES
 
     assert MAX_PIECES == 10**6
@@ -278,8 +315,9 @@ def test_size_overflow(rng):
         expr_to_dc(Min(Affine(0.0, (rng.normal(),)), Affine(0.0, (rng.normal(),))))
         for _ in range(16)
     ]
+    monkeypatch.setattr(pa, "MAX_PIECES", 10**4)
     with pytest.raises(SizeOverflow):
-        codiff_max(forms, max_pieces=10**4)
+        codiff_max(forms)
 
 
 def test_dimension_mismatch_in_calculus():
