@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .convex import ConvexFn
-from .errors import ArmijoFailure
+from .errors import ArmijoFailure, NonFinite
 from .minnorm import min_norm_point
 from .pa import _csv_text, _default_tol, _record_dict
 
@@ -166,13 +166,16 @@ def mhd_run(
         has no step; status ``"stationary"`` once the minimum-norm
         element has norm at most ``trace.stop_tol`` (a global-minimum
         certificate), else ``"iter_limit"`` or ``"float_floor"`` (see
-        :class:`MHDTrace`).
+        :class:`MHDTrace`).  Raises ``NonFinite`` at an iterate where
+        ``f`` is not finite.
     """
     cfg = cfg or MHDConfig()
     x = np.array(x0, dtype=float, ndmin=1)
     trace = MHDTrace(stop_tol=cfg.stop_tol)
     for n in range(cfg.max_iter + 1):
         fx, H = f.value_and_hypodiff(x)
+        if not np.isfinite(fx):
+            raise NonFinite(f"f is not finite at iterate {n}")
         trace.stop_tol = _default_tol(fx, H) if trace.stop_tol is None else trace.stop_tol
         point, _ = min_norm_point(H)
         a, v = float(point[0]), point[1:]

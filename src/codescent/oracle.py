@@ -1,23 +1,17 @@
 """Independent ground truth for piecewise-affine minimization.
 
-Every LP here is the epigraph LP of one piece ``j`` of
-``f = min_j max_i (a_i + b_j + <v_i + w_j, x>)``.  Substituting
-``tau = t - b_j - <w_j, x>`` turns it into
+Every LP here is the dual of the epigraph LP of one piece ``j`` of
+``f = min_j max_i (a_i + b_j + <v_i + w_j, x>)``:
 
-    min  tau + <w_j, x>   s.t.  a_i + <v_i, x> <= tau  for every i,
+    max  sum_i lam_i a_i   s.t.  sum_i lam_i (1, v_i) = (1, -w_j),  lam >= 0,
 
-whose constraints are the max part alone, the same for every ``j``.  So
-one dense simplex tableau serves all pieces of a function:
-
-* **feasible start** — ``x = 0, tau = max_i a_i`` is feasible, and one
-  pivot on ``tau`` at the row of the largest ``a_i`` makes the slack
-  basis a feasible basis, so there is no phase 1;
-* **per-piece re-pricing** — each piece sets its cost row, prices out
-  the basic columns and continues primal simplex from the previous
-  piece's optimal basis;
-* **rank-1 pivots** — with Bland's rule (smallest entering index;
-  smallest ratio, ties by smallest basic index), which terminates from
-  any feasible basis.
+convex weights on the max part's gradients that cancel ``w_j``; its
+optimum plus ``b_j`` is ``min f_j``.  Only the right-hand side depends
+on ``j``, so one dual simplex on ``d + 1`` rows serves all pieces of a
+function: ``lam_top = 1`` at the largest ``a_i`` (primal ``x = 0,
+tau = max_i a_i``) is dual feasible for every piece, so there is no
+phase 1, and each piece starts from the previous one's optimal basis.  The basis inverse is explicit, ``(d + 1)``-square, and takes a
+rank-1 eta update per pivot (see :func:`solve_lp`).
 
 Three entry points use it:
 
@@ -89,56 +83,64 @@ class NonnegativityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# dense primal simplex from a feasible basis
+# dual simplex from a dual-feasible basis
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+def solve_lp(A, c, beta, basis, Binv, dd):
+    """Maximize ``c @ lam`` over ``A @ lam = beta, lam >= 0`` by dual simplex.
 
+    ``basis[r]`` is the column basic in row ``r`` of ``Binv``; ``-k`` is
+    the unit column ``e_k``, an artificial fixed at 0 that may leave but
+    never enters.  ``dd = c - c_B Binv A <= 0`` are the reduced costs.
+    All three are updated in place, so the next call starts from this
+    call's final basis.  A row is infeasible when its ``lam`` is below
+    ``-_PIVOT_TOL`` or its artificial is off 0 by more than that.
 
-def solve_lp(T: np.ndarray, basis: np.ndarray, c: np.ndarray):
-    """Minimize ``c @ z`` over ``z >= 0`` from a feasible basis.
+    The most infeasible row leaves (Dantzig) for the column of least
+    ratio ``dd_q / rho_q``, the smallest index among ties.  If that ratio
+    is at most ``_TIE_TOL``, Bland's row (smallest basic index,
+    artificials first) leaves instead.  So every degenerate pivot is a
+    Bland pivot and every other pivot strictly lowers the objective: a
+    cycle, which keeps the objective constant, would hold only Bland
+    pivots, and Bland's theorem rules that out.
 
-    ``T`` is a canonical tableau ``[B^-1 A | B^-1 b]``, one row per
-    constraint, with a nonnegative last column; ``basis[i]`` is the
-    column basic in row ``i``.  Bland-rule primal simplex pivots ``T``
-    and ``basis`` in place, so the next call starts from this call's
-    final basis.  Returns ``("optimal", z, None)`` or
-    ``("unbounded", z, ray)`` where ``z`` is the basic feasible point at
-    which the unbounded ray starts.  Raises ``Degenerate`` after
-    ``_MAX_PIVOTS`` pivots.
+    Returns ``("optimal", c_B Binv)``, or ``("infeasible", u)`` with
+    ``u @ A >= 0 > u @ beta`` (Farkas) from an infeasible row with no
+    entering column.  Raises ``Degenerate`` after ``_MAX_PIVOTS`` pivots.
     """
-    n = T.shape[1] - 1
-    cost = np.append(c, 0.0)
-    cost -= cost[basis] @ T
-    ray = None
+    nonbasic = np.ones(A.shape[1], dtype=bool)
+    nonbasic[basis[basis >= 0]] = False
     for _ in range(_MAX_PIVOTS):
-        entering = np.flatnonzero(cost[:n] < -_PIVOT_TOL)
-        if entering.size == 0:
-            break
-        enter = entering[0]
-        col = T[:, enter]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
-        if rows.size == 0:
-            # push the entering column; the basic variables compensate
-            ray = np.zeros(n)
-            ray[basis] = -col
-            ray[enter] = 1.0
-            break
-        ratio = T[rows, -1] / col[rows]
-        ties = rows[ratio <= ratio.min() + _TIE_TOL]
-        leave = ties[np.argmin(basis[ties])]
-        _pivot(T, leave, enter)
-        cost -= cost[enter] * T[leave]
-        basis[leave] = enter
-    else:
-        raise Degenerate("simplex iteration cap exceeded")
-    z = np.zeros(n)
-    z[basis] = T[:, -1]
-    return ("optimal" if ray is None else "unbounded"), z, ray
+        xB = Binv @ beta
+        art = basis < 0
+        infeas = np.where(art, np.abs(xB), -xB)
+        r = np.argmax(infeas)
+        if infeas[r] <= _PIVOT_TOL:
+            return "optimal", np.where(art, 0.0, c[np.maximum(basis, 0)]) @ Binv
+        for bland in (False, True):
+            u = Binv[r] if xB[r] < 0 else -Binv[r]
+            rho = u @ A
+            cand = (nonbasic & (rho < -_PIVOT_TOL)).nonzero()[0]
+            if cand.size == 0:
+                return "infeasible", u
+            ratio = dd[cand] / rho[cand]
+            least = ratio.min()
+            if bland or least > _TIE_TOL:
+                break
+            rows = (infeas > _PIVOT_TOL).nonzero()[0]
+            r = rows[np.argmin(basis[rows])]
+        q = cand[np.argmax(ratio <= least + _TIE_TOL)]
+        col = Binv @ A[:, q]
+        dd -= (dd[q] / rho[q]) * rho
+        dd[q] = 0.0
+        eta = Binv[r] / col[r]
+        Binv -= col[:, None] * eta
+        Binv[r] = eta
+        if basis[r] >= 0:
+            nonbasic[basis[r]] = True
+        nonbasic[q] = False
+        basis[r] = q
+    raise Degenerate("simplex iteration cap exceeded")
 
 
 # ---------------------------------------------------------------------------
@@ -147,43 +149,35 @@ def solve_lp(T: np.ndarray, basis: np.ndarray, c: np.ndarray):
 
 def _piece_minima(plus: np.ndarray, minus: np.ndarray):
     """Yield the :class:`LPOutcome` of each piece ``j``,
-    ``min_x max_i (a_i + b_j + <v_i + w_j, x>)``, from one shared tableau.
+    ``min_x max_i (a_i + b_j + <v_i + w_j, x>)``, from one dual basis.
 
-    Columns: ``x+`` (d), ``x-`` (d), ``tau+``, ``tau-``, slacks (m), rhs.
-    The tableau holds the data divided by the power of two just above its
-    largest |entry|, an exact division, so the pivot tolerances are
-    relative to the data.
+    ``A = [1; unit V^T]``, costs ``unit a`` and right-hand sides
+    ``(1, -unit w_j)``, with ``unit`` the power of two just above the
+    data's largest |entry|: an exact scaling that makes the pivot
+    tolerances relative to the data.  The multipliers are
+    ``(unit tau, -x)``; a Farkas vector ``u`` gives the ray ``-u[1:]``.
     """
     a, V = plus[:, 0], plus[:, 1:]
-    m, d = V.shape
+    d = V.shape[1]
     e = math.frexp(max(np.abs(plus).max(), np.abs(minus).max()))[1]
     unit = math.ldexp(1.0, -e)
-    T = np.zeros((m, 2 * d + 3 + m))
-    T[:, :d] = unit * V
-    T[:, d : 2 * d] = -T[:, :d]
-    T[:, 2 * d] = -1.0
-    T[:, 2 * d + 1] = 1.0
-    T[:, 2 * d + 2 : -1] = np.eye(m)
-    T[:, -1] = -unit * a
-    basis = np.arange(2 * d + 2, 2 * d + 2 + m)
-    # tau = max_i a_i enters as tau+ or tau-, whichever is then nonnegative
+    A = np.vstack([np.ones(len(a)), unit * V.T])
+    c = unit * a
+    # lam_top = 1 with artificials in rows 1..d: x = 0, tau = max_i a_i
     top = int(np.argmax(a))
-    tau = 2 * d if a[top] >= 0 else 2 * d + 1
-    _pivot(T, top, tau)
-    basis[top] = tau
-
-    c = np.zeros(T.shape[1] - 1)
-    c[2 * d], c[2 * d + 1] = 1.0, -1.0
-    for b, w, cost in zip(minus[:, 0], minus[:, 1:], unit * minus[:, 1:]):
-        c[:d], c[d : 2 * d] = cost, -cost
-        status, z, ray = solve_lp(T, basis, c)
+    basis = -np.arange(d + 1)
+    basis[0] = top
+    Binv = np.eye(d + 1)
+    Binv[1:, 0] = -A[1:, top]
+    dd = c - c[top]
+    betas = np.column_stack([np.ones(len(minus)), -unit * minus[:, 1:]])
+    for b, w, beta in zip(minus[:, 0], minus[:, 1:], betas):
+        status, y = solve_lp(A, c, beta, basis, Binv, dd)
         if status == "optimal":
-            x = z[:d] - z[d : 2 * d]
+            x = -y[1:]
             yield LPOutcome("bounded", argmin=x, value=float(np.max(a + V @ x) + b + w @ x))
         else:
-            r = ray[:d] - ray[d : 2 * d]
-            nrm = np.linalg.norm(r)
-            yield LPOutcome("unbounded_below", ray=r / nrm if nrm > 0 else r)
+            yield LPOutcome("unbounded_below", ray=-y[1:] / np.linalg.norm(y[1:]))
 
 
 def min_max_affine(pieces: np.ndarray) -> LPOutcome:
@@ -232,7 +226,7 @@ def pa_global_min(f: DCForm) -> LPOutcome:
     ``f`` equals ``min_j [ max_i (a_i + b_j + <v_i + w_j, x>) ]``, so
     the global minimum is the smallest of the per-``j`` epigraph LP
     optima; any unbounded piece makes ``f`` unbounded below.  All
-    pieces share one tableau (see the module docstring).
+    pieces share one dual basis (see the module docstring).
     """
     best: LPOutcome | None = None
     for lp in _piece_minima(f.plus, f.minus):

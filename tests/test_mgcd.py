@@ -451,9 +451,9 @@ def rung_minimum():
 
 @pytest.mark.parametrize("c", [1e-6, 1e3, 1e6])
 def test_ladder_rung_certified_at_any_scale(c, rung_minimum):
-    # the oracle pivots on a tableau with absolute tolerances and the runs
-    # read offsets against tol; neither may depend on c (at c = 1e6 an
-    # unscaled tableau gives -0.128 c against a minimum of -0.727 c)
+    # the oracle pivots with fixed tolerances and the runs read offsets
+    # against tol; neither may depend on c (at c = 1e6 an oracle that did
+    # not scale its data gave -0.128 c against a minimum of -0.727 c)
     f = generate_pa(0, 10, 80, 20, scale=c)
     assert pa_global_min(f).value / c == pytest.approx(rung_minimum, rel=1e-9)
     for method in (mgcd_run, mcd_run):

@@ -9,10 +9,12 @@ from codescent import (
     ConvexPAView,
     MaxOf,
     MHDConfig,
+    NonFinite,
     armijo_step,
     codiff_scale,
     line_search_pa,
     generate_pa,
+    linear,
     max_quadratics,
     mhd_run,
     pa_global_min,
@@ -145,6 +147,16 @@ def test_default_stop_tol_is_recorded():
     assert trace.status == "iter_limit"
     assert 0 < trace.stop_tol < trace.steps[0].norm
     assert mhd_run(fn, x0, MHDConfig(stop_tol=1e-3, max_iter=0)).stop_tol == 1e-3
+
+
+def test_overflowing_value_raises():
+    # each child value is finite, their weighted sum is not; a value of inf
+    # was certified as stationary, with a derived stop_tol of inf
+    fn = ConvexCombination([(2.0, MaxOf([linear([1.0], 1e308), linear([-1.0], 1e308)]))])
+    with pytest.raises(NonFinite):
+        mhd_run(fn, [3.0])
+    with pytest.raises(NonFinite):
+        mhd_run(fn, [3.0], MHDConfig(stop_tol=1e-8))
 
 
 def test_trace_serialization_roundtrip():

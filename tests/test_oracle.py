@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from codescent import (
     pa_global_min,
     worked_example,
 )
+from codescent.problems import GEN_OFFSET, _cross_scale
 
 
 def bounded_below_pieces(rng, d, extra):
@@ -233,3 +236,79 @@ def test_pa_global_min_matches_highs(f):
         assert out.bounded
         assert out.value == pytest.approx(ref, abs=1e-7)
         assert abs(float(evaluate(f, out.argmin)) - out.value) <= 1e-9 * max(1.0, abs(out.value))
+
+
+@st.composite
+def scaled_dcforms(draw):
+    """Integer DCForms with d <= 4, returned with a scale 2**k, |k| <= 30.
+    About half the draws add the coercive cross-polytope rows (any piece
+    with ||w_j||_1 < c is then bounded below), and about half repeat a
+    coordinate column, which lowers the rank of both gradient sets."""
+    d = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+    plus = np.array(draw(st.lists(row, min_size=1, max_size=8)), dtype=float)
+    minus = np.array(draw(st.lists(row, min_size=1, max_size=4)), dtype=float)
+    if draw(st.booleans()):
+        c = 3 * d + 1
+        cross = np.zeros((2 * d, d + 1))
+        cross[:, 0] = draw(st.lists(st.integers(-3, 3), min_size=2 * d, max_size=2 * d))
+        cross[:, 1:] = np.vstack([c * np.eye(d), -c * np.eye(d)])
+        plus = np.vstack([plus, cross])
+    if d > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(1, d + 1)))[:2]
+        plus[:, dst], minus[:, dst] = plus[:, src], minus[:, src]
+    return DCForm(d, plus, minus), 2.0 ** draw(st.integers(-30, 30))
+
+
+def _assert_matches_highs(out, f, scale):
+    """``out`` solved ``f`` scaled by ``scale``; HiGHS solves ``f`` itself."""
+    ref = min(_highs_piece_minima(f))
+    if ref == -np.inf:
+        assert not out.bounded
+        slope = np.max(f.plus[:, 1:] @ out.ray) + np.min(f.minus[:, 1:] @ out.ray)
+        assert slope < 0
+    else:
+        assert out.bounded
+        assert out.value / scale == pytest.approx(ref, abs=1e-7)
+        assert float(evaluate(f, out.argmin)) == pytest.approx(out.value / scale, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scaled_dcforms())
+def test_oracle_matches_highs_at_scale(case):
+    # both entry points, on rank-deficient and coercive gradient sets, far
+    # from unit scale; the max part alone checks min_max_affine and its rays
+    f, scale = case
+    _assert_matches_highs(pa_global_min(DCForm(f.d, scale * f.plus, scale * f.minus)), f, scale)
+    max_part = DCForm(f.d, f.plus, np.zeros((1, f.d + 1)))
+    _assert_matches_highs(min_max_affine(scale * f.plus), max_part, scale)
+
+
+def top_rung(seed, d=20, l=400, s=40):
+    """``generate_pa``'s row layout at a size it cannot draw: the min-part
+    gradients are uniform on {w in Z^d : ||w||^2 <= 4}, drawn by shell
+    (w = 0, k entries +-1 for k <= 4, one entry +-2) with probability
+    proportional to the shell's size."""
+    rng = np.random.default_rng(seed)
+    c = _cross_scale(d)
+    plus = np.zeros((l, d + 1))
+    plus[:, 0] = rng.integers(-GEN_OFFSET, GEN_OFFSET + 1, l)
+    plus[: 2 * d, 1:] = np.kron(np.eye(d), [[c], [-c]])
+    plus[2 * d :, 1:] = rng.integers(-c, c + 1, (l - 2 * d, d))
+    minus = np.zeros((s, d + 1))
+    minus[:, 0] = rng.integers(-GEN_OFFSET, GEN_OFFSET + 1, s)
+    sizes = np.array([1] + [math.comb(d, k) * 2**k for k in range(1, 5)] + [2 * d])
+    for row, shell in zip(minus, rng.choice(6, size=s, p=sizes / sizes.sum())):
+        k, entry = (1, 2) if shell == 5 else (shell, 1)
+        row[1 + rng.choice(d, k, replace=False)] = entry * rng.choice([-1, 1], k)
+    return DCForm(d, plus, minus)
+
+
+def test_top_rung_matches_highs():
+    # (d, l, s) = (20, 400, 40): 40 LPs of 400 rows, one basis warm-started
+    # across all of them
+    f = top_rung(0)
+    out = pa_global_min(f)
+    assert out.bounded
+    assert out.value == pytest.approx(min(_highs_piece_minima(f)), abs=1e-7)
+    assert float(evaluate(f, out.argmin)) == pytest.approx(out.value, abs=1e-9)
