@@ -161,10 +161,10 @@ class LipschitzReport:
     worst_y: np.ndarray | None
 
 
-def _sample_tol(at_x, fys: list) -> float:
-    """``pa._default_tol`` over the ``(f(x), hypodiff)`` pairs ``at_x`` and the values ``fys``."""
+def _sample_tol(at_x, fys: list, tol: float | None) -> float:
+    """``pa._default_tol`` of ``tol`` over ``(f(x), hypodiff)`` pairs ``at_x`` and ``fys``."""
     fxs = [fx for fx, _ in at_x]
-    return _default_tol(max(map(abs, fxs + fys), default=0.0), *(H for _, H in at_x))
+    return _default_tol(max(map(abs, fxs + fys), default=0.0), *(H for _, H in at_x), tol=tol)
 
 
 def check_amenable(f: ConvexFn, samples_x, samples_y, tol: float | None = None) -> AmenabilityReport:
@@ -173,8 +173,8 @@ def check_amenable(f: ConvexFn, samples_x, samples_y, tol: float | None = None) 
     For every ``x`` in ``samples_x``, every ``y`` in ``samples_y`` and
     every vertex ``(a, v)`` of the hypodifferential at ``x``, the
     violation ``a + <v, y - x> - (f(y) - f(x))`` must stay below
-    ``tol``, by default ``1e-9`` times the data scale of the samples;
-    the report carries the worst one found.
+    ``tol`` (``pa._default_tol``: by default ``1e-9`` times the data scale
+    of the samples); the report carries the worst one found.
     """
     worst, wx, wy = -np.inf, None, None
     xs = [np.atleast_1d(np.asarray(p, dtype=float)) for p in samples_x]
@@ -186,7 +186,7 @@ def check_amenable(f: ConvexFn, samples_x, samples_y, tol: float | None = None) 
             gap = float(np.max(H[:, 0] + H[:, 1:] @ (y - x)) - (fy - fx))
             if gap > worst:
                 worst, wx, wy = gap, x, y
-    tol = _sample_tol(at_x, fys) if tol is None else tol
+    tol = _sample_tol(at_x, fys, tol)
     return AmenabilityReport(ok=worst <= tol, worst_violation=worst, worst_x=wx, worst_y=wy)
 
 
@@ -196,10 +196,10 @@ def check_lipschitz_approx(f: ConvexFn, L: float, pairs, tol: float | None = Non
     Verifies ``|f(y) - f(x) - max_(a,v) (a + <v, y - x>)|
     <= (L/2) ||y - x||^2 + tol`` for each pair and reports the worst
     excess over the bound and the worst remainder-to-bound ratio.
-    ``tol`` defaults to ``1e-9`` times the data scale of the samples.
+    ``L`` must be positive; ``tol`` is read as in :func:`check_amenable`.
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
+    if not L > 0:
+        raise ValueError(f"L must be positive, got {L}")
     worst_excess, worst_ratio, wx, wy = -np.inf, 0.0, None, None
     pairs = [[np.atleast_1d(np.asarray(p, dtype=float)) for p in pair] for pair in pairs]
     at_x = [f.value_and_hypodiff(x) for x, _ in pairs]
@@ -212,7 +212,7 @@ def check_lipschitz_approx(f: ConvexFn, L: float, pairs, tol: float | None = Non
             worst_excess, wx, wy = excess, x, y
         if bound > 0:
             worst_ratio = max(worst_ratio, remainder / bound)
-    tol = _sample_tol(at_x, fys) if tol is None else tol
+    tol = _sample_tol(at_x, fys, tol)
     return LipschitzReport(
         ok=worst_excess <= tol,
         worst_excess=float(worst_excess),

@@ -20,8 +20,8 @@ once every index is discarded a per-index certificate is attached, and
 the run claims a *global* minimum only if that certificate holds.
 ``mcd_run`` is the classic variant: it keeps all indices with hyper
 offset at most ``mu`` and moves to the best exact line search along
-their directions; ``line_search_pa`` finds the breakpoints of its two
-envelopes in O((l + s) log(l + s)) time and O(l + s) memory.
+their directions; ``line_search_pa`` reads ``f`` off its two envelopes
+in O((l + s) log(l + s)) time and O(l + s) memory.
 
 Both are one loop, ``_descend``, with two step rules.  It anchors each
 iterate, value included, with ``global_codiff``, every projection goes
@@ -29,8 +29,8 @@ through ``_project``, and the final certificate reuses the projections
 already made at the last iterate.  Both runs serialize to JSON and CSV.
 
 No threshold is absolute: every "is this zero?" reads against one
-``tol``, by default ``1e-9`` times the data scale (``pa._default_tol``),
-or against float rounding, so a run on ``c * f`` is the run on ``f``.
+``tol``, checked or by default set to ``1e-9`` times the data scale by
+``pa._default_tol``, or against float rounding, so ``c * f`` runs as ``f``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .minnorm import min_norm_point
-from .pa import DCForm, GlobalCodiff, _csv_text, _record_dict, evaluate, global_codiff
+from .pa import DCForm, GlobalCodiff, _csv_text, _default_tol, _record_dict, evaluate, global_codiff
 
 
 @dataclass(frozen=True)
@@ -193,24 +193,18 @@ def _unbounded_ray(f: DCForm) -> np.ndarray | None:
     return None
 
 
-def _check_tol(tol: float | None) -> None:
-    # a NaN or infinite tol would accept every offset, a negative one none
-    if tol is not None and not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
-
-
 def check_global_opt(f: DCForm, x, tol: float | None = None) -> tuple[bool, Certificate]:
     """Global-minimality test at ``x``.
 
     Projects every shifted hypodifferential and accepts iff all offsets
     ``a_j(x)`` are at least ``-tol`` and ``f`` is bounded below; when it
     is not, the certificate carries the ray along which ``f`` decreases
-    without bound.  ``tol`` defaults to ``1e-9`` times the data scale at
-    ``x`` (``pa._default_tol``), so ``c * f`` gets the verdict of ``f``.
+    without bound.  ``tol`` is read through ``pa._default_tol`` at ``x``,
+    so ``c * f`` gets the verdict of ``f``.
     """
-    _check_tol(tol)
     gc = global_codiff(f, x)
-    cert = _certificate(gc, gc.tol if tol is None else tol, {}, _unbounded_ray(f))
+    tol = _default_tol(gc.value, gc.hypo, gc.hyper, tol=tol)
+    cert = _certificate(gc, tol, {}, _unbounded_ray(f))
     return cert.is_global, cert
 
 
@@ -219,12 +213,11 @@ def check_inf_stationary(f: DCForm, x, tol: float | None = None) -> bool:
 
     True iff for every active min-part index (hyper offset at most
     ``tol``) the shifted hypodifferential contains the origin, i.e. its
-    minimum-norm element has norm at most ``tol``, by default ``1e-9``
-    times the data scale at ``x``.
+    minimum-norm element has norm at most ``tol``, read through
+    ``pa._default_tol`` at ``x``.
     """
-    _check_tol(tol)
     gc = global_codiff(f, x)
-    tol = gc.tol if tol is None else tol
+    tol = _default_tol(gc.value, gc.hypo, gc.hyper, tol=tol)
     active = [j for j in range(gc.hyper.shape[0]) if gc.hyper[j, 0] <= tol]
     return all(np.linalg.norm(p) <= tol for p in _project(gc, active).values())
 
@@ -236,12 +229,12 @@ class LineSearchResult:
     unbounded: bool = False
 
 
-def _envelope_breakpoints(offsets: np.ndarray, slopes: np.ndarray, gap: float) -> np.ndarray:
-    """The ``alpha > 0`` breakpoints of ``max_i (offsets_i + alpha * slopes_i)``
-    between lines whose slopes differ by more than ``gap``, found by one
-    sort by slope and one stack pass (the convex hull trick)."""
+def _envelope(offsets: np.ndarray, slopes: np.ndarray, gap: float) -> tuple[list, list]:
+    """Lines ``(offset, slope, alpha from which it is on top)`` of the upper envelope
+    of ``offsets_i + alpha * slopes_i`` by increasing slope, and its ``alpha > 0``
+    breakpoints between slopes more than ``gap`` apart (the convex hull trick)."""
     b, m = offsets.tolist(), slopes.tolist()
-    stack = []  # (offset, slope, alpha from which the line is on top)
+    stack = []
     for k in np.lexsort((offsets, slopes)).tolist():
         if stack and stack[-1][1] == m[k]:  # the highest of equal slopes comes last
             stack.pop()
@@ -250,7 +243,19 @@ def _envelope_breakpoints(offsets: np.ndarray, slopes: np.ndarray, gap: float) -
             stack.pop()
         stack.append((b[k], m[k], a))
     pairs = zip(stack, stack[1:])
-    return np.array([a for (_, m0, _), (_, m1, a) in pairs if a > 0 and m1 - m0 > gap])
+    return stack, [a for (_, m0, _), (_, m1, a) in pairs if a > 0 and m1 - m0 > gap]
+
+
+def _on_envelope(lines: list, alphas: list) -> list:
+    """``lines`` at each of the increasing ``alphas``: the larger of the lines on
+    top from and just before it, as a breakpoint lies on both and rounding may favour either."""
+    out, k = [], 0
+    for al in alphas:
+        while k + 1 < len(lines) and lines[k + 1][2] <= al:
+            k += 1
+        (b0, m0, _), (b1, m1, _) = lines[max(k - 1, 0)], lines[k]
+        out.append(max(b0 + al * m0, b1 + al * m1))
+    return out
 
 
 def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
@@ -259,8 +264,8 @@ def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
 
     ``phi`` is one-dimensional piecewise affine; its minimizer lies at
     ``alpha = 0`` or at one of the at most ``l + s - 2`` breakpoints of
-    the max lines' upper envelope and the min lines' lower envelope,
-    found in O((l + s) log(l + s)) time and O(l + s) memory, unless the
+    the max lines' upper envelope and the min lines' lower envelope, read
+    off both in O((l + s) log(l + s)) time and O(l + s) memory, unless the
     recession slope is negative, in which case the ray is a certificate
     of unboundedness.  Ties are resolved toward the smallest ``alpha``.
     Slope thresholds are relative to the largest slope along ``direction``.
@@ -280,9 +285,9 @@ def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
         return LineSearchResult(alpha=math.inf, value=-math.inf, unbounded=True)
 
     gap = 1e-15 * scale  # closer slopes are parallel up to rounding
-    breaks = (_envelope_breakpoints(p, -q, gap), _envelope_breakpoints(-r, t, gap))
-    cand = np.sort(np.concatenate([[0.0], *breaks]))
-    vals = np.max(p - np.outer(cand, q), axis=1) + np.min(r - np.outer(cand, t), axis=1)
+    (upper, up_breaks), (lower, low_breaks) = _envelope(p, -q, gap), _envelope(-r, t, gap)
+    cand = sorted([0.0, *up_breaks, *low_breaks])
+    vals = np.subtract(_on_envelope(upper, cand), _on_envelope(lower, cand))
     best = int(np.argmin(vals))
     return LineSearchResult(alpha=float(cand[best]), value=float(vals[best]))
 
@@ -296,9 +301,9 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step)
 
     Each iterate, ``x0`` included, is anchored first (a point where ``f``
     overflows raises ``NonFinite``); its record's ``f`` is ``gc.value``,
-    and ``tol`` defaults to ``gc.tol`` at ``x0``, so the run on ``c * f``
-    is the run on ``f``.  A function that ``_unbounded_ray`` shows
-    unbounded below ends the run at ``x0``.
+    and ``tol`` is read through ``pa._default_tol`` there (checked or derived
+    at ``x0``, then fixed), so the run on ``c * f`` is the run on ``f``.  A
+    function that ``_unbounded_ray`` shows unbounded below ends it at ``x0``.
     Otherwise each iterate gets a record and ``step(gc, rec, run, tol)``
     sees it anchored in ``gc``; the step fills the record and returns the
     next point, or None once it has set the run's status.  After
@@ -307,18 +312,17 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step)
     """
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
-    _check_tol(tol)
     x = np.array(x0, dtype=float, ndmin=1)
     run = GlobalRun(method=method, iterates=[x], ray=_unbounded_ray(f))
     if run.ray is not None:
         run.status = "unbounded_below"
     for n in range(max_iter + 1):
         gc = global_codiff(f, x)
+        tol = _default_tol(gc.value, gc.hypo, gc.hyper, tol=tol)
         rec = IterationRecord(n=n, x=x, f=gc.value)
         run.records.append(rec)
         if run.ray is not None or n == max_iter:
             return run
-        tol = gc.tol if tol is None else tol
         x = step(gc, rec, run, tol)
         if x is None:
             return run

@@ -176,7 +176,7 @@ def mhd_run(
         fx, H = f.value_and_hypodiff(x)
         if not np.isfinite(fx):
             raise NonFinite(f"f is not finite at iterate {n}")
-        trace.stop_tol = _default_tol(fx, H) if trace.stop_tol is None else trace.stop_tol
+        trace.stop_tol = _default_tol(fx, H, tol=trace.stop_tol)  # derived at x0, then explicit
         point, _ = min_norm_point(H)
         a, v = float(point[0]), point[1:]
         nrm = float(np.linalg.norm(point))

@@ -10,8 +10,9 @@ optimum plus ``b_j`` is ``min f_j``.  Only the right-hand side depends
 on ``j``, so one dual simplex on ``d + 1`` rows serves all pieces of a
 function: ``lam_top = 1`` at the largest ``a_i`` (primal ``x = 0,
 tau = max_i a_i``) is dual feasible for every piece, so there is no
-phase 1, and each piece starts from the previous one's optimal basis.  The basis inverse is explicit, ``(d + 1)``-square, and takes a
-rank-1 eta update per pivot (see :func:`solve_lp`).
+phase 1, and each piece starts from the previous one's optimal basis.
+The basis inverse is explicit, ``(d + 1)``-square, and takes a rank-1
+eta update per pivot (see :func:`solve_lp`).
 
 Three entry points use it:
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import Degenerate
 from .minnorm import min_norm_point
-from .pa import DCForm, global_codiff
+from .pa import DCForm, _default_tol
 
 _PIVOT_TOL = 1e-9
 _TIE_TOL = 1e-12
@@ -196,25 +197,19 @@ def classify_nonnegative(pieces: np.ndarray, tol: float | None = None) -> Nonneg
     For a bounded-below ``f`` the verdict reduces to the sign of the
     offset ``a0`` of the minimum-norm point ``(a0, v0)`` of the piece
     hull: nonnegative iff ``a0 >= -tol``, otherwise ``v0 / a0``
-    witnesses a negative value.  An unbounded ``f`` is reported with a
-    descent direction (``-v0`` when the hull pinches the ``a = 0``
-    hyperplane away from the origin, else the LP ray), which is why the
+    witnesses a negative value.  An unbounded ``f`` is reported with the
+    LP's Farkas ray as its descent direction, which is why the
     boundedness precondition of the sign test never needs to be trusted.
-    ``tol`` defaults to ``1e-9`` times the data scale at the origin.
+    ``tol`` is read through ``pa._default_tol`` at the origin.
     """
     pieces = np.atleast_2d(np.asarray(pieces, dtype=float))
-    if tol is None:
-        f = DCForm(pieces.shape[1] - 1, pieces, np.zeros((1, pieces.shape[1])))
-        tol = global_codiff(f, np.zeros(f.d)).tol
     point, _ = min_norm_point(pieces)
     a0, v0 = float(point[0]), point[1:]
+    top = pieces[:, 0].max()  # f(0)
+    tol = _default_tol(top, pieces[:, 0] - top, pieces[:, 1:], tol=tol)
     lp = min_max_affine(pieces)
     if not lp.bounded:
-        if abs(a0) <= tol and np.linalg.norm(v0) > 0:
-            direction = -v0 / np.linalg.norm(v0)
-        else:
-            direction = lp.ray
-        return NonnegativityVerdict("unbounded_below", a0, v0, direction=direction)
+        return NonnegativityVerdict("unbounded_below", a0, v0, direction=lp.ray)
     if a0 >= -tol:
         return NonnegativityVerdict("nonnegative", a0, v0)
     return NonnegativityVerdict("attains_negative", a0, v0, witness=v0 / a0)

@@ -252,14 +252,18 @@ def translate(f: DCForm, gc: GlobalCodiff, y) -> GlobalCodiff:
     return global_codiff(f, y)
 
 
-def _default_tol(value: float, *rows: np.ndarray) -> float:
-    """The one default for "numerically zero" in a certificate: ``1e-9``
-    times the largest of ``|value|`` and every ``|entry|`` of ``rows``, for
-    a function with value ``value`` and (co)differential rows ``rows`` at a
-    point.  The scale is ``c`` times larger for ``c * f`` and fixed when
-    ``f`` and the point are translated together, so no verdict read
-    against it depends on units."""
-    return 1e-9 * max([abs(value)] + [float(np.abs(r).max()) for r in rows])
+def _default_tol(value: float, *rows: np.ndarray, tol: float | None = None) -> float:
+    """The one rule for "numerically zero" in a certificate: an explicit ``tol``
+    must be finite and ``>= 0`` (a NaN or infinite one accepts every offset, a
+    negative one none); ``None`` gives ``1e-9`` times the largest of ``|value|``
+    and every ``|entry|`` of ``rows``, the value and (co)differential rows of a
+    function at a point: ``c`` times larger for ``c * f`` and fixed when ``f``
+    and the point are translated together, so no verdict depends on units."""
+    if tol is None:
+        return 1e-9 * max([abs(value)] + [float(np.abs(r).max(initial=0.0)) for r in rows])
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    return tol
 
 
 # ---------------------------------------------------------------------------

@@ -295,8 +295,9 @@ def test_lipschitz_sum_rule(rng):
     L = 2.0 * q1.lipschitz_grad + 3.0 * q2.lipschitz_grad
     pairs = [(rng.normal(size=1) * 3, rng.normal(size=1) * 3) for _ in range(200)]
     assert check_lipschitz_approx(g, L=L, pairs=pairs, tol=1e-9).ok
-    with pytest.raises(ValueError):
-        check_lipschitz_approx(g, L=0.0, pairs=pairs)
+    for bad in (0.0, np.nan):  # a NaN L would pass every pair
+        with pytest.raises(ValueError):
+            check_lipschitz_approx(g, L=bad, pairs=pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from codescent import (
     DCForm,
     NonFinite,
+    check_amenable,
     check_global_opt,
     check_inf_stationary,
+    check_lipschitz_approx,
+    classify_nonnegative,
     evaluate,
     generate_pa,
     global_codiff,
@@ -21,6 +24,7 @@ from codescent import (
     mgcd_run,
     pa_global_min,
     project_piece,
+    quadratic,
     random_start,
     theta_lower_bound,
     worked_example,
@@ -269,15 +273,20 @@ def test_line_search_near_parallel_slopes_no_far_step():
 def test_line_search_memory_top_rung():
     # the (20, 400, 40) top rung, drawn directly: generate_pa cannot draw d = 20
     rng = np.random.default_rng(0)
-    f = DCForm(20, rng.normal(size=(400, 21)), rng.normal(size=(40, 21)))
-    x, direction = rng.normal(size=20), rng.normal(size=20)
-    tracemalloc.start()
-    try:
-        line_search_pa(f, x, direction)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    top_rung = DCForm(20, rng.normal(size=(400, 21)), rng.normal(size=(40, 21)))
+    # 4,000 tangents of t^2 at t in (0, 1]: every line is on the envelope,
+    # so there are 3,999 breakpoints
+    t = np.arange(1, 4001) / 4000
+    tangents = DCForm(1, np.column_stack([-t * t, 2 * t]), [[0.0, 0.0]])
+    cases = ((top_rung, rng.normal(size=20), rng.normal(size=20)), (tangents, [0.0], [-1.0]))
+    for f, x, direction in cases:
+        tracemalloc.start()
+        try:
+            line_search_pa(f, x, direction)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +665,16 @@ def test_negative_max_iter_rejected(runner):
 def test_invalid_tol_rejected(tol):
     # an infinite or NaN tol accepts every offset, a negative one none
     f = worked_example()
-    for check in (mgcd_run, mcd_run, check_global_opt, check_inf_stationary):
+    q = quadratic(np.array([[2.0]]), np.zeros(1))
+    for check in (
+        mgcd_run,
+        mcd_run,
+        check_global_opt,
+        check_inf_stationary,
+        lambda f, x, tol: classify_nonnegative(f.plus, tol=tol),
+        lambda f, x, tol: check_amenable(q, x, x, tol=tol),
+        lambda f, x, tol: check_lipschitz_approx(q, 2.0, [x], tol=tol),
+    ):
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             check(f, X0, tol=tol)
     assert check_global_opt(f, [0.0, 0.0], tol=1e-12)[0]
