@@ -17,6 +17,7 @@ from .convex import (
     ConvexFn,
     ConvexPAView,
     MaxOf,
+    Quadratic,
     SmoothConvex,
     check_amenable,
     check_lipschitz_approx,
@@ -99,6 +100,7 @@ __all__ = [
     "NoConvergence",
     "NonFinite",
     "NonnegativityVerdict",
+    "Quadratic",
     "Scale",
     "SizeOverflow",
     "SmoothConvex",

@@ -34,8 +34,10 @@ class ConvexFn:
 
     ``value_and_hypodiff(x)`` is the one primitive: the value and a vertex
     set ``(m, d + 1)`` of the hypodifferential at ``x``, in one pass with
-    one callback per smooth atom.  ``value`` alone serves the Armijo
-    trials.  Each class body repeats ``hypodiff(x)`` as
+    one callback per smooth atom, except that a :class:`MaxOf` whose
+    children are all :class:`Quadratic` evaluates them together from
+    their stacked data and calls none of them.  ``value`` alone serves
+    the Armijo trials.  Each class body repeats ``hypodiff(x)`` as
     ``value_and_hypodiff(x)[1]`` because the benchmark's trace
     (``perfbench/spans.py``) wraps the ``value`` and ``hypodiff`` found
     in each class's own namespace.
@@ -83,6 +85,20 @@ class SmoothConvex(ConvexFn):
         return float(fx), np.concatenate(([0.0], g))[None, :]
 
 
+class Quadratic(SmoothConvex):
+    """``0.5 x'Hx + b'x + c`` from read-only copies of ``H``, ``b``, ``c``; see :func:`quadratic`."""
+
+    def __init__(self, H, b, c: float = 0.0):
+        self.H, self.b, self.c = np.array(H, dtype=float), np.array(b, dtype=float), float(c)
+        self.H.flags.writeable = self.b.flags.writeable = False
+        self.d = self.b.size
+        self.lipschitz_grad = float(np.linalg.eigvalsh(self.H).max())
+
+    def fn(self, x):
+        Hx = self.H @ x
+        return 0.5 * (x @ Hx) + self.b @ x + self.c, Hx + self.b
+
+
 class ConvexCombination(ConvexFn):
     """Nonnegative weighted sum of convex functions."""
 
@@ -113,7 +129,14 @@ class ConvexCombination(ConvexFn):
 
 
 class MaxOf(ConvexFn):
-    """Pointwise maximum of convex functions."""
+    """Pointwise maximum of convex functions.
+
+    When every child is a :class:`Quadratic`, their ``H``, ``b`` and ``c``
+    are stacked once, into ``(k, d, d)``, ``(k, d)`` and ``(k,)`` arrays,
+    and ``value`` and ``value_and_hypodiff`` evaluate all k pieces with
+    three array products on the stacks, calling no child's ``fn``.  Any
+    other mix of children is evaluated child by child.
+    """
 
     def __init__(self, children: Sequence[ConvexFn]):
         if not children:
@@ -122,8 +145,19 @@ class MaxOf(ConvexFn):
         self.d = self.children[0].d
         if any(f.d != self.d for f in self.children):
             raise DimensionMismatch("children have mixed dimensions")
+        self._stack = None
+        if all(isinstance(f, Quadratic) for f in self.children):
+            self._stack = tuple(np.stack([getattr(f, a) for f in self.children]) for a in "Hbc")
+
+    def _pieces(self, x):
+        """Every stacked piece's value and gradient at ``x``."""
+        H, b, c = self._stack
+        Hx = H @ x
+        return 0.5 * (Hx @ x) + b @ x + c, Hx + b
 
     def value(self, x):
+        if self._stack is not None:
+            return float(self._pieces(x)[0].max())
         return float(max(f.value(x) for f in self.children))
 
     def hypodiff(self, x):
@@ -133,6 +167,12 @@ class MaxOf(ConvexFn):
         # child i's vertices shift by (f_i(x) - u(x), 0), u(x) the max value, so
         # the offsets record how far each piece sits below the active one;
         # coincident vertices are kept, as min_norm_point accepts them
+        if self._stack is not None:
+            vals, G = self._pieces(x)
+            if not np.isfinite(G).all():
+                raise NonFinite("gradient is not finite")
+            u = vals.max()
+            return float(u), np.column_stack((vals - u, G))
         vals, blocks = zip(*(f.value_and_hypodiff(x) for f in self.children))
         u = max(vals)
         H = np.concatenate(blocks)
@@ -248,23 +288,17 @@ class ConvexPAView(ConvexFn):
         return gc.value, gc.hypo + gc.hyper[0]
 
 
-def quadratic(H: np.ndarray, b: np.ndarray, c: float = 0.0) -> SmoothConvex:
+def quadratic(H: np.ndarray, b: np.ndarray, c: float = 0.0) -> Quadratic:
     """Convex quadratic ``0.5 x'Hx + b'x + c`` with its exact gradient.
 
-    The returned atom keeps ``H``, ``b``, ``c`` as attributes so rate
-    instrumentation can compute exact per-piece minima.
+    The returned :class:`Quadratic` keeps read-only ``H``, ``b``, ``c``
+    so rate instrumentation can compute exact per-piece minima, and its
+    ``lipschitz_grad`` is the largest eigenvalue of ``H``.  Alone or in a
+    sum it is evaluated through its ``fn``; inside a :class:`MaxOf`
+    whose children are all quadratics it is evaluated from ``H``, ``b``
+    and ``c`` with the other pieces, and its ``fn`` is not called.
     """
-    H = np.asarray(H, dtype=float)
-    b = np.asarray(b, dtype=float)
-    L = float(np.linalg.eigvalsh(H).max())
-
-    def fn(x):
-        Hx = H @ x
-        return 0.5 * (x @ Hx) + b @ x + c, Hx + b
-
-    atom = SmoothConvex(b.size, fn, lipschitz_grad=L)
-    atom.H, atom.b, atom.c = H, b, float(c)
-    return atom
+    return Quadratic(H, b, c)
 
 
 def linear(v: np.ndarray, a: float = 0.0) -> SmoothConvex:

@@ -192,11 +192,11 @@ def max_quadratics(seed: int, d: int = 10, k: int = 5) -> tuple[MaxOf, float, np
         eigs = rng.uniform(MAXQ_EIG_RANGE[0], MAXQ_EIG_RANGE[1], size=d)
         H = (Q * eigs) @ Q.T
         H = 0.5 * (H + H.T)
-        L = max(L, float(np.linalg.eigvalsh(H).max()))
         center = rng.normal(size=d)
         center *= rng.uniform(0, MAXQ_CENTER_RADIUS) / np.linalg.norm(center)
         b = rng.uniform(0, MAXQ_OFFSET_MAX)
         children.append(quadratic(H, -H @ center, 0.5 * center @ H @ center + b))
+        L = max(L, children[-1].lipschitz_grad)
     x0 = rng.normal(size=d)
     x0 *= rng.uniform(0, MAXQ_START_RADIUS) / np.linalg.norm(x0)
     return MaxOf(children), L, x0

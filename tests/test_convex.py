@@ -10,6 +10,7 @@ from codescent import (
     ConvexPAView,
     DCForm,
     MaxOf,
+    NonFinite,
     SizeOverflow,
     SmoothConvex,
     check_amenable,
@@ -138,6 +139,48 @@ def test_value_and_hypodiff_is_bitwise_the_two_calls(seed, d, scale):
         assert H.dtype == ref.dtype and np.array_equal(H, ref)
         ref_fx, ref_H = fused_reference(f, x)
         assert fx == ref_fx and H.dtype == ref_H.dtype and np.array_equal(H, ref_H)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 6),
+    d=st.integers(1, 10),
+    data_exp=st.integers(-30, 30),
+    x_exp=st.integers(-30, 30),
+)
+def test_stacked_quadratics_match_per_child(seed, k, d, data_exp, x_exp):
+    # an all-Quadratic MaxOf evaluates its stacks in another summation order
+    # than the per-child fn calls, so the two agree to rounding, not bitwise
+    r, s = np.random.default_rng(seed), 2.0**data_exp
+    quads = [quadratic(s * (A @ A.T + 0.1 * np.eye(d)), s * r.normal(size=d), s * r.normal())
+             for A in r.normal(size=(k, d, d))]
+    stacked = MaxOf(quads)
+    # one non-Quadratic child keeps the whole max on the per-child path
+    last = quads[-1]
+    mixed = MaxOf(quads[:-1] + [SmoothConvex(d, last.fn, last.lipschitz_grad)])
+    x = 2.0**x_exp * r.normal(size=d)
+
+    fx, H = stacked.value_and_hypodiff(x)
+    assert fx == stacked.value(x) and np.array_equal(H, stacked.hypodiff(x))
+    ref_fx, ref_H = mixed.value_and_hypodiff(x)
+    assert ref_fx == max(q.value(x) for q in quads) and np.array_equal(ref_H, two_pass_hypo_max(mixed.children, x))
+
+    # a value or gradient entry computed in either order is off by at most
+    # about (d + 2) eps times the sum of the |terms| it adds; two of them
+    # differ by at most twice that, an offset (two values) by four times
+    ax = np.abs(x)
+    gscale = np.array([np.abs(q.H) @ ax + np.abs(q.b) for q in quads])
+    vscale = 0.5 * gscale @ ax + np.array([np.abs(q.b) @ ax + abs(q.c) for q in quads])
+    eps = 2 * (d + 2) * np.finfo(float).eps
+    assert abs(fx - ref_fx) <= eps * vscale.max()
+    assert np.all(np.abs(H[:, 1:] - ref_H[:, 1:]) <= eps * gscale)
+    assert np.all(np.abs(H[:, 0] - ref_H[:, 0]) <= 2 * eps * vscale.max())
+
+    with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
+        stacked.value_and_hypodiff(np.full(d, np.inf))
+    with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
+        mixed.value_and_hypodiff(np.full(d, np.inf))
 
 
 def test_combination_one_callback_per_smooth_child():

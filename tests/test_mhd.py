@@ -10,6 +10,7 @@ from codescent import (
     MaxOf,
     MHDConfig,
     NonFinite,
+    SmoothConvex,
     armijo_step,
     codiff_scale,
     line_search_pa,
@@ -189,14 +190,24 @@ def test_invalid_stop_tol_rejected(stop_tol):
 
 
 def test_one_callback_per_child_per_iterate():
-    # each iterate costs one fused value-and-gradient call per child; every
-    # Armijo trial, accepted or not, one value call per child
+    # on the per-child path each iterate costs one fused value-and-gradient
+    # call per child; every Armijo trial, accepted or not, one value call per
+    # child. The same atoms as Quadratic children are stacked and never called.
     fn, _, x0 = max_quadratics(0)
     calls = []
-    for child in fn.children:
-        child.fn = lambda x, inner=child.fn: calls.append(1) or inner(x)
-    trace = mhd_run(fn, x0, MHDConfig(max_iter=40))
+
+    def counting(inner):
+        return lambda x: calls.append(1) or inner(x)
+
+    generic = MaxOf([SmoothConvex(q.d, counting(q.fn), q.lipschitz_grad) for q in fn.children])
+    trace = mhd_run(generic, x0, MHDConfig(max_iter=40))
     k = len(fn.children)
     trials = sum(s.k + 1 for s in trace.steps if s.k is not None)
     assert trace.status == "iter_limit" and trials > len(trace.steps)
     assert len(calls) == k * len(trace.steps) + k * trials
+
+    calls.clear()
+    for child in fn.children:
+        child.fn = counting(child.fn)
+    stacked = mhd_run(fn, x0, MHDConfig(max_iter=40))
+    assert calls == [] and len(stacked.steps) == len(trace.steps)
