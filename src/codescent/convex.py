@@ -86,13 +86,19 @@ class SmoothConvex(ConvexFn):
 
 
 class Quadratic(SmoothConvex):
-    """``0.5 x'Hx + b'x + c`` from read-only copies of ``H``, ``b``, ``c``; see :func:`quadratic`."""
+    """``0.5 x'Hx + b'x + c`` from read-only ``b``, ``c`` and the symmetric part of ``H``; see :func:`quadratic`."""
 
     def __init__(self, H, b, c: float = 0.0):
-        self.H, self.b, self.c = np.array(H, dtype=float), np.array(b, dtype=float), float(c)
-        self.H.flags.writeable = self.b.flags.writeable = False
+        H, self.b, self.c = np.asarray(H, dtype=float), np.array(b, dtype=float), float(c)
         self.d = self.b.size
-        self.lipschitz_grad = float(np.linalg.eigvalsh(self.H).max())
+        if H.shape != (self.d, self.d):
+            raise DimensionMismatch(f"H must be ({self.d}, {self.d}) like b, got {H.shape}")
+        self.H = 0.5 * (H + H.T)  # the same f; bit-identical for a symmetric H
+        self.H.flags.writeable = self.b.flags.writeable = False
+        eig = np.linalg.eigvalsh(self.H)
+        if eig[0] < -self.d * np.finfo(float).eps * max(-eig[0], eig[-1]):  # eig ascends
+            raise ValueError(f"H is not positive semidefinite: eigenvalue {eig[0]:.3g}")
+        self.lipschitz_grad = float(eig[-1])
 
     def fn(self, x):
         Hx = self.H @ x
@@ -291,12 +297,15 @@ class ConvexPAView(ConvexFn):
 def quadratic(H: np.ndarray, b: np.ndarray, c: float = 0.0) -> Quadratic:
     """Convex quadratic ``0.5 x'Hx + b'x + c`` with its exact gradient.
 
-    The returned :class:`Quadratic` keeps read-only ``H``, ``b``, ``c``
-    so rate instrumentation can compute exact per-piece minima, and its
-    ``lipschitz_grad`` is the largest eigenvalue of ``H``.  Alone or in a
-    sum it is evaluated through its ``fn``; inside a :class:`MaxOf`
-    whose children are all quadratics it is evaluated from ``H``, ``b``
-    and ``c`` with the other pieces, and its ``fn`` is not called.
+    The returned :class:`Quadratic` keeps read-only ``b``, ``c`` and the
+    symmetric part of ``H`` (the same function) so rate instrumentation
+    can compute exact per-piece minima; ``lipschitz_grad`` is its largest
+    eigenvalue.  Raises ``DimensionMismatch`` unless ``H`` is d x d for
+    the d entries of ``b``, and ``ValueError`` if ``H`` is not convex
+    beyond rounding (an eigenvalue below ``-d * eps * max |eigenvalue|``).
+    Alone or in a sum it is evaluated through its ``fn``; inside a
+    :class:`MaxOf` whose children are all quadratics it is evaluated from
+    ``H``, ``b`` and ``c`` with the other pieces, and its ``fn`` is not called.
     """
     return Quadratic(H, b, c)
 

@@ -1,7 +1,9 @@
 """Hypodifferential descent for convex functions.
 
 Each iteration projects the origin onto the hypodifferential at the
-current point; the gradient component of the minimum-norm element is
+current point, starting Wolfe's method from the previous projection's
+weights when the vertex count is unchanged, as successive hulls differ
+by one step; the gradient component of the minimum-norm element is
 the search direction, its full norm drives both the step acceptance
 test and the stopping rule.  A vanishing minimum-norm element means
 ``0`` lies in the hypodifferential, which for a convex function
@@ -172,12 +174,13 @@ def mhd_run(
     cfg = cfg or MHDConfig()
     x = np.array(x0, dtype=float, ndmin=1)
     trace = MHDTrace(stop_tol=cfg.stop_tol)
+    w = np.empty(0)
     for n in range(cfg.max_iter + 1):
         fx, H = f.value_and_hypodiff(x)
         if not np.isfinite(fx):
             raise NonFinite(f"f is not finite at iterate {n}")
         trace.stop_tol = _default_tol(fx, H, tol=trace.stop_tol)  # derived at x0, then explicit
-        point, _ = min_norm_point(H)
+        point, w = min_norm_point(H, start=w if w.size == len(H) else None)
         a, v = float(point[0]), point[1:]
         nrm = float(np.linalg.norm(point))
         alpha = k = status = None

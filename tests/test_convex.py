@@ -9,6 +9,7 @@ from codescent import (
     ConvexCombination,
     ConvexPAView,
     DCForm,
+    DimensionMismatch,
     MaxOf,
     NonFinite,
     SizeOverflow,
@@ -341,6 +342,32 @@ def test_lipschitz_sum_rule(rng):
     for bad in (0.0, np.nan):  # a NaN L would pass every pair
         with pytest.raises(ValueError):
             check_lipschitz_approx(g, L=bad, pairs=pairs)
+
+
+def test_quadratic_keeps_symmetric_part():
+    # 0.5 x'Hx depends only on (H + H')/2, whose gradient at (1, 2) is
+    # (2, 2.5); H x = (3, 2) is not the gradient of this f
+    q = quadratic(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
+    fx, g = q.fn(np.array([1.0, 2.0]))
+    assert fx == 3.5 and np.array_equal(g, [2.0, 2.5])
+    assert q.lipschitz_grad == pytest.approx(1.5)
+    assert check_amenable(q, [np.array([1.0, 2.0])], np.random.default_rng(0).normal(size=(20, 2))).ok
+    H = np.array([[4.0, 1.0], [1.0, 2.0]])
+    assert np.array_equal(quadratic(H, np.ones(2)).H, H)  # bit-identical if symmetric
+
+
+def test_quadratic_rejects_nonconvex_and_misshapen():
+    with pytest.raises(ValueError):
+        quadratic(-np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError):  # symmetric part [[0, .5], [.5, 0]] is indefinite
+        quadratic(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
+    with pytest.raises(DimensionMismatch):
+        quadratic(np.ones((2, 3)), np.zeros(2))
+    with pytest.raises(DimensionMismatch):
+        quadratic(np.eye(3), np.zeros(2))
+    # a PSD H that rounding leaves with a tiny negative eigenvalue is convex
+    A = np.random.default_rng(1).normal(size=(6, 3))
+    quadratic(A @ A.T, np.zeros(6))
 
 
 # ---------------------------------------------------------------------------

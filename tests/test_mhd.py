@@ -106,6 +106,33 @@ def test_sufficient_descent_and_step_floor(rng):
         assert prev.alpha >= floor - 1e-12
 
 
+def test_warm_started_projections_match_cold(monkeypatch):
+    """Each iterate's projection starts from the last one's weights: the run
+    takes the same steps as with cold starts, in fewer least-squares solves."""
+    from codescent import max_quadratics, minnorm
+    import codescent.mhd as mhd
+
+    fn, _, x0 = max_quadratics(0)
+    cfg = MHDConfig(sigma=0.1, gamma=0.5, stop_tol=1e-2, max_iter=20_000)
+    solves = [0]
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        solves[0] += 1
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    warm = mhd_run(fn, x0, cfg)
+    warm_solves, solves[0] = solves[0], 0
+    monkeypatch.setattr(mhd, "min_norm_point", lambda H, start=None: minnorm.min_norm_point(H))
+    cold = mhd_run(fn, x0, cfg)
+    assert warm.status == cold.status == "stationary"
+    assert [s.k for s in warm.steps] == [s.k for s in cold.steps]
+    for w, c in zip(warm.steps, cold.steps):
+        assert abs(w.f - c.f) <= 1e-12 * max(1.0, abs(c.f))
+    assert warm_solves <= 0.6 * solves[0]
+
+
 def test_exact_line_search_on_convex_pa():
     f = generate_pa(23, 2, 5, 1)
     view = ConvexPAView(f)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -116,8 +116,68 @@ def test_deterministic_bitwise(rng):
 def test_rejects_nonfinite_and_empty():
     with pytest.raises(NonFinite):
         min_norm_point(np.array([[np.nan, 0.0]]))
+    with pytest.raises(NonFinite):
+        min_norm_point(np.array([[np.inf, 0.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
         min_norm_point(np.zeros((0, 3)))
+
+
+def test_rejects_overflowing_squared_norms():
+    # the origin is in this hull, but its squared norms overflow to inf, so
+    # the stop floor would be inf and the first vertex would come back
+    P = 1e155 * np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
+    with pytest.raises(NonFinite):
+        min_norm_point(P)
+    point, _ = min_norm_point(P / 1e10)  # finite squares: the origin
+    assert np.linalg.norm(point) <= 1e-9 * 1e145
+
+
+#: start weights for up to 16 vertices, zeros included
+weights = hnp.arrays(float, 16, elements=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    P=hulls,
+    dup=st.integers(0, 4),
+    e=st.floats(-6, 6),
+    kind=st.sampled_from(["one", "all", "random"]),
+    pick=st.integers(0, 15),
+    w=weights,
+)
+# the stop rule accepts vertex 0 alone: its residual 3.6e-15 is below the
+# floor, so the warm point is sqrt(3.6e-15) from the cold one
+@example(P=np.array([[5.96046448e-08], [0.0], [1.0]]), dup=0, e=0.0, kind="one", pick=0, w=np.ones(16))
+def test_warm_start_matches_cold_start(P, dup, e, kind, pick, w):
+    """Any start reaches the cold start's point, with a residual within the
+    solver's own stop floor."""
+    hull_scale = 10.0**e * max(1.0, float(np.abs(P).max()))
+    P = 10.0**e * np.vstack([P, P[:dup]])  # duplicate rows
+    m = P.shape[0]
+    start = {"one": np.eye(m)[pick % m], "all": np.ones(m), "random": w[:m]}[kind]
+    assume(start.sum() > 0)
+    cold, _ = min_norm_point(P)
+    warm, weights = min_norm_point(P, start)
+    floor = 64 * np.finfo(float).eps * float(np.einsum("ij,ij->i", P, P).max())
+    res = wolfe_residual(P, warm)
+    assert res <= floor
+    # a residual r bounds the squared distance to the minimum-norm point
+    gap = np.sqrt(res) + np.sqrt(wolfe_residual(P, cold))
+    assert np.linalg.norm(warm - cold) <= 1e-9 * hull_scale + gap
+    assert weights.min() >= 0 and abs(weights.sum() - 1.0) <= 1e-12
+    assert np.linalg.norm(weights @ P - warm) <= 1e-9 * hull_scale
+
+
+@pytest.mark.parametrize(
+    "start",
+    [np.ones(2), np.ones((3, 1)), np.array([1.0, -0.5, 1.0]), np.array([1.0, np.nan, 1.0]),
+     np.zeros(3), np.array([1.0, np.inf, 0.0])],
+    ids=["short", "column", "negative", "nan", "zero-sum", "inf"],
+)
+def test_malformed_start_rejected(start):
+    P = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
+    with pytest.raises(ValueError):
+        min_norm_point(P, start)
 
 
 def test_iteration_cap_raises(monkeypatch):
