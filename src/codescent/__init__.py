@@ -22,7 +22,6 @@ from .convex import (
     check_amenable,
     check_lipschitz_approx,
     linear,
-    quadratic,
 )
 from .errors import (
     ArmijoFailure,
@@ -68,9 +67,7 @@ from .pa import (
     codiff_sum,
     evaluate,
     expr_eval,
-    expr_from_json,
     expr_to_dc,
-    expr_to_json,
     global_codiff,
     translate,
 )
@@ -118,9 +115,7 @@ __all__ = [
     "codiff_sum",
     "evaluate",
     "expr_eval",
-    "expr_from_json",
     "expr_to_dc",
-    "expr_to_json",
     "generate_pa",
     "global_codiff",
     "hyper_grad",
@@ -134,7 +129,6 @@ __all__ = [
     "min_norm_point",
     "pa_global_min",
     "project_piece",
-    "quadratic",
     "random_start",
     "theta_lower_bound",
     "translate",

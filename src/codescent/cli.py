@@ -96,7 +96,7 @@ def _load_problem(args) -> DCForm:
         try:
             with open(args.problem) as fh:
                 return DCForm.from_json(fh.read())
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise InputError(f"cannot load problem file {args.problem}: {exc}") from exc
     if getattr(args, "generate", None):
         parts = args.generate.split(",")

@@ -71,9 +71,6 @@ class SmoothConvex(ConvexFn):
     def value(self, x):
         return float(self.fn(x)[0])
 
-    def gradient(self, x):
-        return np.asarray(self.fn(x)[1], dtype=float)
-
     def hypodiff(self, x):
         return self.value_and_hypodiff(x)[1]
 
@@ -85,8 +82,22 @@ class SmoothConvex(ConvexFn):
         return float(fx), np.concatenate(([0.0], g))[None, :]
 
 
+def _quadratic(H, b, c, x):
+    """Value and gradient at ``x`` of ``0.5 x'Hx + b'x + c``: of one quadratic for
+    a ``(d, d)`` ``H``, of each of k at once for ``(k, d, d)``, ``(k, d)`` and ``(k,)``."""
+    Hx = H @ x
+    return 0.5 * (Hx @ x) + b @ x + c, Hx + b
+
+
 class Quadratic(SmoothConvex):
-    """``0.5 x'Hx + b'x + c`` from read-only ``b``, ``c`` and the symmetric part of ``H``; see :func:`quadratic`."""
+    """Convex quadratic ``0.5 x'Hx + b'x + c`` with its exact gradient.
+
+    Keeps read-only ``b``, ``c`` and the symmetric part of ``H`` (the same
+    function); ``lipschitz_grad`` is its largest eigenvalue.  Raises
+    ``DimensionMismatch`` unless ``H`` is d x d for the d entries of ``b``,
+    and ``ValueError`` if ``H`` is not convex beyond rounding (an eigenvalue
+    below ``-d * eps * max |eigenvalue|``).
+    """
 
     def __init__(self, H, b, c: float = 0.0):
         H, self.b, self.c = np.asarray(H, dtype=float), np.array(b, dtype=float), float(c)
@@ -101,8 +112,7 @@ class Quadratic(SmoothConvex):
         self.lipschitz_grad = float(eig[-1])
 
     def fn(self, x):
-        Hx = self.H @ x
-        return 0.5 * (x @ Hx) + self.b @ x + self.c, Hx + self.b
+        return _quadratic(self.H, self.b, self.c, x)
 
 
 class ConvexCombination(ConvexFn):
@@ -155,15 +165,9 @@ class MaxOf(ConvexFn):
         if all(isinstance(f, Quadratic) for f in self.children):
             self._stack = tuple(np.stack([getattr(f, a) for f in self.children]) for a in "Hbc")
 
-    def _pieces(self, x):
-        """Every stacked piece's value and gradient at ``x``."""
-        H, b, c = self._stack
-        Hx = H @ x
-        return 0.5 * (Hx @ x) + b @ x + c, Hx + b
-
     def value(self, x):
         if self._stack is not None:
-            return float(self._pieces(x)[0].max())
+            return float(_quadratic(*self._stack, x)[0].max())
         return float(max(f.value(x) for f in self.children))
 
     def hypodiff(self, x):
@@ -174,7 +178,7 @@ class MaxOf(ConvexFn):
         # the offsets record how far each piece sits below the active one;
         # coincident vertices are kept, as min_norm_point accepts them
         if self._stack is not None:
-            vals, G = self._pieces(x)
+            vals, G = _quadratic(*self._stack, x)
             if not np.isfinite(G).all():
                 raise NonFinite("gradient is not finite")
             u = vals.max()
@@ -292,22 +296,6 @@ class ConvexPAView(ConvexFn):
     def value_and_hypodiff(self, x):
         gc = global_codiff(self._f, x)
         return gc.value, gc.hypo + gc.hyper[0]
-
-
-def quadratic(H: np.ndarray, b: np.ndarray, c: float = 0.0) -> Quadratic:
-    """Convex quadratic ``0.5 x'Hx + b'x + c`` with its exact gradient.
-
-    The returned :class:`Quadratic` keeps read-only ``b``, ``c`` and the
-    symmetric part of ``H`` (the same function) so rate instrumentation
-    can compute exact per-piece minima; ``lipschitz_grad`` is its largest
-    eigenvalue.  Raises ``DimensionMismatch`` unless ``H`` is d x d for
-    the d entries of ``b``, and ``ValueError`` if ``H`` is not convex
-    beyond rounding (an eigenvalue below ``-d * eps * max |eigenvalue|``).
-    Alone or in a sum it is evaluated through its ``fn``; inside a
-    :class:`MaxOf` whose children are all quadratics it is evaluated from
-    ``H``, ``b`` and ``c`` with the other pieces, and its ``fn`` is not called.
-    """
-    return Quadratic(H, b, c)
 
 
 def linear(v: np.ndarray, a: float = 0.0) -> SmoothConvex:

@@ -35,7 +35,6 @@ No threshold is absolute: every "is this zero?" reads against one
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -119,9 +118,6 @@ class GlobalRun:
 
     def to_dict(self) -> dict:
         return _record_dict(self, discard_log=self.discard_log)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
     def to_csv(self) -> str:
         rows = (

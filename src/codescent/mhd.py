@@ -18,7 +18,6 @@ exact search terminates finitely).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -105,9 +104,6 @@ class MHDTrace:
 
     def to_dict(self) -> dict:
         return _record_dict(self)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
     def to_csv(self) -> str:
         rows = ([s.n, s.f, s.norm, s.alpha, s.k] for s in self.steps)

@@ -465,39 +465,3 @@ def expr_to_dc(e: PAExpr, d: int | None = None) -> DCForm:
 
     return build(e, "hypo")
 
-
-# -- expression JSON --------------------------------------------------------
-
-_KINDS = {"affine": Affine, "const": Const, "scale": Scale, "sum": Sum, "max": Max, "min": Min}
-
-
-def expr_to_dict(e: PAExpr) -> dict:
-    if isinstance(e, Affine):
-        return {"kind": "affine", "a": e.a, "v": list(e.v)}
-    if isinstance(e, Const):
-        return {"kind": "const", "c": e.c}
-    if isinstance(e, Scale):
-        return {"kind": "scale", "coef": e.coef, "child": expr_to_dict(e.child)}
-    kind = {Max: "max", Min: "min", Sum: "sum"}[type(e)]
-    return {"kind": kind, "children": [expr_to_dict(c) for c in e.children]}
-
-
-def expr_from_dict(data: dict) -> PAExpr:
-    kind = data["kind"]
-    if kind == "affine":
-        return Affine(data["a"], data["v"])
-    if kind == "const":
-        return Const(float(data["c"]))
-    if kind == "scale":
-        return Scale(float(data["coef"]), expr_from_dict(data["child"]))
-    if kind in ("sum", "max", "min"):
-        return _KINDS[kind](*[expr_from_dict(c) for c in data["children"]])
-    raise ValueError(f"unknown node kind {kind!r}")
-
-
-def expr_to_json(e: PAExpr, **kwargs) -> str:
-    return json.dumps(expr_to_dict(e), **kwargs)
-
-
-def expr_from_json(text: str) -> PAExpr:
-    return expr_from_dict(json.loads(text))

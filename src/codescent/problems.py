@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .convex import MaxOf, quadratic
+from .convex import MaxOf, Quadratic
 from .pa import Affine, Const, DCForm, Max, Min, Scale, Sum, expr_to_dc
 
 #: integer radius of min-part gradients in generated instances
@@ -195,7 +195,7 @@ def max_quadratics(seed: int, d: int = 10, k: int = 5) -> tuple[MaxOf, float, np
         center = rng.normal(size=d)
         center *= rng.uniform(0, MAXQ_CENTER_RADIUS) / np.linalg.norm(center)
         b = rng.uniform(0, MAXQ_OFFSET_MAX)
-        children.append(quadratic(H, -H @ center, 0.5 * center @ H @ center + b))
+        children.append(Quadratic(H, -H @ center, 0.5 * center @ H @ center + b))
         L = max(L, children[-1].lipschitz_grad)
     x0 = rng.normal(size=d)
     x0 *= rng.uniform(0, MAXQ_START_RADIUS) / np.linalg.norm(x0)

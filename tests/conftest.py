@@ -65,7 +65,7 @@ def slsqp_min_of_max(children, d, starts):
         {
             "type": "ineq",
             "fun": (lambda z, q=q: z[-1] - q.value(z[:-1])),
-            "jac": (lambda z, q=q: np.concatenate([-q.gradient(z[:-1]), [1.0]])),
+            "jac": (lambda z, q=q: np.concatenate([-q.fn(z[:-1])[1], [1.0]])),
         }
         for q in children
     ]

@@ -261,6 +261,20 @@ def test_input_errors(tmp_path, capsys):
     assert run_cli(capsys, "solve", "--problem", str(prob), "--x0", "1,2,3")[0] == 4
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"d": 2, "plus": 5, "minus": []}', "[1, 2]", '{"d": 1e400, "plus": [], "minus": []}', "[" * 10**5],
+    ids=["plus-not-a-list", "top-level-list", "d-overflows", "nested-too-deep"],
+)
+def test_malformed_problem_file_exits_input(tmp_path, capsys, text):
+    # a TypeError, OverflowError or RecursionError from decoding is bad input,
+    # not a failed verification
+    prob = tmp_path / "bad.json"
+    prob.write_text(text)
+    assert main(["certify", "--problem", str(prob), "--point", "0,0"]) == cli.EXIT_INPUT == 4
+    assert f"cannot load problem file {prob}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("exc", [NoConvergence, Degenerate, ArmijoFailure])
 def test_solver_failure_exit_code(example_file, capsys, monkeypatch, exc):
     def failing(*args, **kwargs):

@@ -12,6 +12,7 @@ from codescent import (
     DimensionMismatch,
     MaxOf,
     NonFinite,
+    Quadratic,
     SizeOverflow,
     SmoothConvex,
     check_amenable,
@@ -19,7 +20,6 @@ from codescent import (
     evaluate,
     global_codiff,
     linear,
-    quadratic,
     worked_example,
 )
 from codescent.pa import _merge_duplicates
@@ -37,11 +37,11 @@ def fd_gradient(fn, x, step=1e-6):
 
 
 def sq_half():  # ||x||^2 / 2 on R^2
-    return quadratic(np.eye(2), np.zeros(2))
+    return Quadratic(np.eye(2), np.zeros(2))
 
 
 def x_squared():  # x^2 on R
-    return quadratic(np.array([[2.0]]), np.zeros(1))
+    return Quadratic(np.array([[2.0]]), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def fused_reference(f, x):
     if isinstance(f, ConvexPAView):
         gc = global_codiff(f._f, x)
         return evaluate(f._f, x), gc.hypo + gc.hyper[0]
-    return f.value(x), np.concatenate(([0.0], f.gradient(x)))[None, :]
+    return f.value(x), np.concatenate(([0.0], f.fn(x)[1]))[None, :]
 
 
 def convex_zoo(seed, d):
@@ -120,7 +120,7 @@ def convex_zoo(seed, d):
 
     def quad():
         A = r.normal(size=(d, d))
-        return quadratic(A @ A.T, r.normal(size=d), r.normal())
+        return Quadratic(A @ A.T, r.normal(size=d), r.normal())
 
     lin = linear(r.integers(-2, 3, size=d).astype(float), float(r.integers(-2, 3)))
     view = ConvexPAView(DCForm(d, r.integers(-3, 4, size=(4, d + 1)), r.integers(-3, 4, size=(1, d + 1))))
@@ -154,7 +154,7 @@ def test_stacked_quadratics_match_per_child(seed, k, d, data_exp, x_exp):
     # an all-Quadratic MaxOf evaluates its stacks in another summation order
     # than the per-child fn calls, so the two agree to rounding, not bitwise
     r, s = np.random.default_rng(seed), 2.0**data_exp
-    quads = [quadratic(s * (A @ A.T + 0.1 * np.eye(d)), s * r.normal(size=d), s * r.normal())
+    quads = [Quadratic(s * (A @ A.T + 0.1 * np.eye(d)), s * r.normal(size=d), s * r.normal())
              for A in r.normal(size=(k, d, d))]
     stacked = MaxOf(quads)
     # one non-Quadratic child keeps the whole max on the per-child path
@@ -182,6 +182,22 @@ def test_stacked_quadratics_match_per_child(seed, k, d, data_exp, x_exp):
         stacked.value_and_hypodiff(np.full(d, np.inf))
     with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
         mixed.value_and_hypodiff(np.full(d, np.inf))
+
+
+@pytest.mark.parametrize("d", [1, 3, 10])
+def test_quadratic_formula_pinned(rng, d):
+    # an atom's fn and an all-Quadratic max evaluate the same formula, bit for bit
+    quads = [Quadratic(A @ A.T, rng.normal(size=d), rng.normal()) for A in rng.normal(size=(4, d, d))]
+    x = rng.normal(size=d)
+    for q in quads:
+        fx, g = q.fn(x)
+        assert fx == 0.5 * (x @ (q.H @ x)) + q.b @ x + q.c
+        assert np.array_equal(g, q.H @ x + q.b)
+    H, b, c = (np.stack([getattr(q, a) for q in quads]) for a in "Hbc")
+    vals, G = 0.5 * ((H @ x) @ x) + b @ x + c, H @ x + b
+    fx, V = MaxOf(quads).value_and_hypodiff(x)
+    assert fx == vals.max()
+    assert np.array_equal(V, np.column_stack((vals - vals.max(), G)))
 
 
 def test_combination_one_callback_per_smooth_child():
@@ -239,10 +255,10 @@ def test_offsets_normalized_after_every_operation(rng):
 
 
 def test_smooth_gradients_match_finite_differences(rng):
-    for fn in (sq_half(), quadratic(np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, -2.0]), 0.7)):
+    for fn in (sq_half(), Quadratic(np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, -2.0]), 0.7)):
         for _ in range(10):
             x = rng.normal(size=2)
-            g = fn.gradient(x)
+            g = fn.fn(x)[1]
             g_fd = fd_gradient(fn.value, x)
             assert np.abs(g - g_fd).max() <= 1e-4 * (1 + np.abs(g).max())
 
@@ -288,8 +304,8 @@ def test_amenable_negative_control():
 
 def test_amenability_preserved_by_composition(rng):
     atoms = [
-        quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]), rng.normal(size=2)),
-        quadratic(np.array([[1.0, 0.0], [0.0, 3.0]]), rng.normal(size=2), 0.5),
+        Quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]), rng.normal(size=2)),
+        Quadratic(np.array([[1.0, 0.0], [0.0, 3.0]]), rng.normal(size=2), 0.5),
         linear(rng.normal(size=2), 0.3),
     ]
     comp = MaxOf([ConvexCombination([(1.5, atoms[0]), (0.5, atoms[2])]), atoms[1]])
@@ -324,8 +340,8 @@ def test_lipschitz_exact_for_quadratic(rng):
 
 
 def test_lipschitz_max_rule(rng):
-    q1 = quadratic(np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0]))
-    q2 = quadratic(np.array([[4.0, 1.0], [1.0, 2.0]]), np.array([1.0, 0.0]), 0.3)
+    q1 = Quadratic(np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0]))
+    q2 = Quadratic(np.array([[4.0, 1.0], [1.0, 2.0]]), np.array([1.0, 0.0]), 0.3)
     u = MaxOf([q1, q2])
     L = max(q1.lipschitz_grad, q2.lipschitz_grad)
     pairs = [(rng.normal(size=2) * 2, rng.normal(size=2) * 2) for _ in range(200)]
@@ -333,8 +349,8 @@ def test_lipschitz_max_rule(rng):
 
 
 def test_lipschitz_sum_rule(rng):
-    q1 = quadratic(np.array([[2.0]]), np.zeros(1))
-    q2 = quadratic(np.array([[5.0]]), np.array([1.0]))
+    q1 = Quadratic(np.array([[2.0]]), np.zeros(1))
+    q2 = Quadratic(np.array([[5.0]]), np.array([1.0]))
     g = ConvexCombination([(2.0, q1), (3.0, q2)])
     L = 2.0 * q1.lipschitz_grad + 3.0 * q2.lipschitz_grad
     pairs = [(rng.normal(size=1) * 3, rng.normal(size=1) * 3) for _ in range(200)]
@@ -347,27 +363,27 @@ def test_lipschitz_sum_rule(rng):
 def test_quadratic_keeps_symmetric_part():
     # 0.5 x'Hx depends only on (H + H')/2, whose gradient at (1, 2) is
     # (2, 2.5); H x = (3, 2) is not the gradient of this f
-    q = quadratic(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
+    q = Quadratic(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
     fx, g = q.fn(np.array([1.0, 2.0]))
     assert fx == 3.5 and np.array_equal(g, [2.0, 2.5])
     assert q.lipschitz_grad == pytest.approx(1.5)
     assert check_amenable(q, [np.array([1.0, 2.0])], np.random.default_rng(0).normal(size=(20, 2))).ok
     H = np.array([[4.0, 1.0], [1.0, 2.0]])
-    assert np.array_equal(quadratic(H, np.ones(2)).H, H)  # bit-identical if symmetric
+    assert np.array_equal(Quadratic(H, np.ones(2)).H, H)  # bit-identical if symmetric
 
 
 def test_quadratic_rejects_nonconvex_and_misshapen():
     with pytest.raises(ValueError):
-        quadratic(-np.eye(2), np.zeros(2))
+        Quadratic(-np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):  # symmetric part [[0, .5], [.5, 0]] is indefinite
-        quadratic(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
+        Quadratic(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
     with pytest.raises(DimensionMismatch):
-        quadratic(np.ones((2, 3)), np.zeros(2))
+        Quadratic(np.ones((2, 3)), np.zeros(2))
     with pytest.raises(DimensionMismatch):
-        quadratic(np.eye(3), np.zeros(2))
+        Quadratic(np.eye(3), np.zeros(2))
     # a PSD H that rounding leaves with a tiny negative eigenvalue is convex
     A = np.random.default_rng(1).normal(size=(6, 3))
-    quadratic(A @ A.T, np.zeros(6))
+    Quadratic(A @ A.T, np.zeros(6))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from codescent import (
     DCForm,
     NonFinite,
+    Quadratic,
     check_amenable,
     check_global_opt,
     check_inf_stationary,
@@ -24,7 +25,6 @@ from codescent import (
     mgcd_run,
     pa_global_min,
     project_piece,
-    quadratic,
     random_start,
     theta_lower_bound,
     worked_example,
@@ -601,7 +601,7 @@ def test_mcd_inf_stationary_certificate_matches_check_global_opt():
 def test_global_run_json_roundtrip():
     f = worked_example()
     run = mgcd_run(f, X0)
-    data = json.loads(run.to_json())
+    data = json.loads(json.dumps(run.to_dict()))
     assert data["status"] == "global_min"
     for rec in data["records"]:
         assert evaluate(f, np.array(rec["x"])) == pytest.approx(rec["f"], abs=1e-12)
@@ -629,7 +629,7 @@ CERT_KEYS = {"point", "a_values", "tol", "is_global", "ray"}
     ids=["mgcd", "mcd"],
 )
 def test_global_run_json_pinned(method, discard_log, discarded, alpha, a_values):
-    data = json.loads(method(worked_example(), X0).to_json())
+    data = json.loads(json.dumps(method(worked_example(), X0).to_dict()))
     assert set(data) == RUN_KEYS
     assert (data["method"], data["status"], data["ray"]) == (method.__name__[:-4], "global_min", None)
     assert np.allclose(data["iterates"], [[2.0, 2.0], [0.0, 0.0]], rtol=0.0, atol=1e-12)
@@ -665,7 +665,7 @@ def test_negative_max_iter_rejected(runner):
 def test_invalid_tol_rejected(tol):
     # an infinite or NaN tol accepts every offset, a negative one none
     f = worked_example()
-    q = quadratic(np.array([[2.0]]), np.zeros(1))
+    q = Quadratic(np.array([[2.0]]), np.zeros(1))
     for check in (
         mgcd_run,
         mcd_run,

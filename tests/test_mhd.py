@@ -10,6 +10,7 @@ from codescent import (
     MaxOf,
     MHDConfig,
     NonFinite,
+    Quadratic,
     SmoothConvex,
     armijo_step,
     codiff_scale,
@@ -19,14 +20,13 @@ from codescent import (
     max_quadratics,
     mhd_run,
     pa_global_min,
-    quadratic,
 )
 from codescent.problems import random_start
 from conftest import slsqp_min_of_max
 
 
 def x_squared():
-    return quadratic(np.array([[2.0]]), np.zeros(1))
+    return Quadratic(np.array([[2.0]]), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +80,9 @@ def test_max_of_quadratics_matches_independent_oracle(rng):
     # one strongly dominant piece keeps the model smooth near the optimum,
     # so backtracking descent reaches oracle accuracy quickly
     d = 4
-    top = quadratic(np.eye(d), np.zeros(d), 1.0)
+    top = Quadratic(np.eye(d), np.zeros(d), 1.0)
     others = [
-        quadratic(0.25 * np.eye(d), -0.25 * c, 0.125 * float(c @ c))
+        Quadratic(0.25 * np.eye(d), -0.25 * c, 0.125 * float(c @ c))
         for c in rng.normal(size=(4, d))
     ]
     fn = MaxOf([top, *others])
@@ -189,7 +189,7 @@ def test_overflowing_value_raises():
 
 def test_trace_serialization_roundtrip():
     trace = mhd_run(x_squared(), [7.0], MHDConfig(sigma=0.3, max_iter=100))
-    data = json.loads(trace.to_json())
+    data = json.loads(json.dumps(trace.to_dict()))
     assert data["status"] == "stationary"
     fn = x_squared()
     for row in data["steps"]:

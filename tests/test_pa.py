@@ -20,9 +20,7 @@ from codescent import (
     codiff_sum,
     evaluate,
     expr_eval,
-    expr_from_json,
     expr_to_dc,
-    expr_to_json,
     global_codiff,
     mcd_run,
     mgcd_run,
@@ -371,14 +369,6 @@ def test_random_trees_eval_and_exactness(rng):
             assert abs(fx - expr_eval(e, x)) <= tol
             gc = global_codiff(f, x)
             assert abs(gc.expansion(dx) - (evaluate(f, x + dx) - fx)) <= tol
-
-
-def test_expr_json_roundtrip(rng):
-    e = random_expr(rng, 3, 2)
-    e2 = expr_from_json(expr_to_json(e))
-    assert e2 == e
-    x = rng.normal(size=2)
-    assert expr_eval(e2, x) == expr_eval(e, x)
 
 
 def test_dcform_json_roundtrip_lossless(rng):
