@@ -25,8 +25,13 @@ in O((l + s) log(l + s)) time and O(l + s) memory.
 
 Both are one loop, ``_descend``, with two step rules.  It anchors each
 iterate, value included, with ``global_codiff``, every projection goes
-through ``_project``, and the final certificate reuses the projections
-already made at the last iterate.  Both runs serialize to JSON and CSV.
+through ``_project``, which projects all requested pieces in one
+``min_norm_point(H(x), shifts=...)`` call, as translates of one
+hypodifferential, and the final certificate reuses the projections
+already made at the last iterate.  ``_unbounded_ray`` projects the s
+gradient hulls the same way from ``STACK_MIN`` of them on; fewer are
+projected one at a time, up to the first unbounded piece.  Both runs
+serialize to JSON and CSV.
 
 No threshold is absolute: every "is this zero?" reads against one
 ``tol``, checked or by default set to ``1e-9`` times the data scale by
@@ -41,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFinite
-from .minnorm import min_norm_point
+from .minnorm import STACK_MIN, min_norm_point
 from .pa import DCForm, GlobalCodiff, _csv_text, _default_tol, _record_dict, evaluate, global_codiff
 
 
@@ -155,8 +160,10 @@ def project_piece(f: DCForm, x, j: int) -> np.ndarray:
 
 def _project(gc: GlobalCodiff, indices) -> dict[int, np.ndarray]:
     """``{j: (a_j, v_j)}``, the minimum-norm element of ``H(x) + z_j(x)``
-    for each ``j`` in ``indices``: the one place that projects them."""
-    return {j: min_norm_point(gc.hypo + gc.hyper[j])[0] for j in indices}
+    for each ``j`` in ``indices``: the one place that projects them, all
+    in one call, as translates of ``H(x)``."""
+    indices = list(indices)
+    return dict(zip(indices, min_norm_point(gc.hypo, shifts=gc.hyper[indices])[0]))
 
 
 def _certificate(
@@ -179,9 +186,13 @@ def _unbounded_ray(f: DCForm) -> np.ndarray | None:
     every vertex ``g``, then ``f(x - t u)`` decreases at least linearly
     in ``t``; the first such piece gives ``-u / ||u||``.
     """
-    for j in range(f.minus.shape[0]):
-        G = f.plus[:, 1:] + f.minus[j, 1:]
-        u, _ = min_norm_point(G)
+    V, W = f.plus[:, 1:], f.minus[:, 1:]
+    if len(W) >= STACK_MIN:
+        U = min_norm_point(V, shifts=W)[0]
+    else:  # a stack this small is projected hull by hull anyway: stop at the ray
+        U = (min_norm_point(V + w)[0] for w in W)
+    for w, u in zip(W, U):
+        G = V + w
         # rounding of the sums in G and of the products G @ u
         bound = (G.shape[1] + 2) * np.finfo(float).eps * (np.abs(G) @ np.abs(u))
         if np.all(G @ u > bound):

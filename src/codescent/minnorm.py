@@ -12,6 +12,16 @@ corral.  A corral's affine subproblem is solved by least squares on the
 differences of its vertices, not on their Gram matrix.  The solver has
 no tolerance to set: it stops at the float resolution of its scores,
 which is relative to the hull.
+
+``min_norm_point(vertices, shifts=Z)`` projects the translates
+``conv(vertices) + Z[b]``, as MGCD and MCD do at every iterate.  From
+``STACK_MIN`` of them on, one lockstep loop makes each pass's minor
+cycles as one batched solve (normal equations of the differences and
+one step of residual refinement) and its major cycles as one batched
+product on the shifted rows, so numpy's per-call overhead is paid per
+pass, not per hull.  A translate whose norm stops decreasing there, and
+every translate of a stack whose Gram matrix is singular or overflows,
+is projected by the hull-by-hull loop, which smaller stacks always take.
 """
 
 from __future__ import annotations
@@ -26,10 +36,16 @@ WEIGHT_DROP = 1e-14
 #: Safety cap on major plus minor cycles per hull vertex.
 MAX_CYCLES_PER_VERTEX = 1000
 
+#: Stacks of fewer translates are projected hull by hull, which is the
+#: faster way below this size (see CHANGES.md for the measurement).
+STACK_MIN = 8
+
 _RESOLUTION = 64 * np.finfo(float).eps
 
 
-def min_norm_point(vertices: np.ndarray, start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def min_norm_point(
+    vertices: np.ndarray, start: np.ndarray | None = None, shifts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``min ||p||^2`` over ``p`` in the convex hull of ``vertices``.
 
     The first corral is the support of ``start`` with renormalised
@@ -56,6 +72,11 @@ def min_norm_point(vertices: np.ndarray, start: np.ndarray | None = None) -> tup
     start : array, shape (m,), optional
         Nonnegative weights with a finite positive sum, such as the
         ``weights`` of a projection onto a nearby hull (else ValueError).
+    shifts : array, shape (B, k), optional
+        Project every translate ``conv(vertices) + shifts[b]`` instead,
+        each by the rules above with its own floor, stall rule and cycle
+        cap; the point and weights then gain a leading axis of length B.
+        Not combined with ``start``.
 
     Returns
     -------
@@ -77,6 +98,21 @@ def min_norm_point(vertices: np.ndarray, start: np.ndarray | None = None) -> tup
     P = np.asarray(vertices, dtype=float)
     if P.ndim != 2 or P.shape[0] == 0:
         raise ValueError("vertices must be a nonempty (m, k) array")
+    if shifts is not None:
+        Z = np.asarray(shifts, dtype=float)
+        if Z.ndim != 2 or Z.shape[1] != P.shape[1] or start is not None:
+            raise ValueError("shifts must be a (B, k) array, and start is then not taken")
+        points, weights, alone = np.empty(Z.shape), np.empty((len(Z), len(P))), range(len(Z))
+        if len(Z) >= STACK_MIN:
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    points, weights, stalled = _lockstep(P, Z)
+                alone = np.flatnonzero(stalled)
+            except (np.linalg.LinAlgError, FloatingPointError):
+                pass  # a singular or overflowing Gram matrix: lstsq copes with it
+        for b in alone:
+            points[b], weights[b] = min_norm_point(P + Z[b])
+        return points, weights
     sq = np.einsum("ij,ij->i", P, P)
     if not np.isfinite(sq).all():
         raise NonFinite("vertex set has non-finite entries or squared norms")
@@ -143,6 +179,83 @@ def min_norm_point(vertices: np.ndarray, start: np.ndarray | None = None) -> tup
         Q = P[corral]
 
     return x, np.bincount(corral, lam, minlength=m)
+
+
+def _lockstep(V: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``min_norm_point(V + Z[b])`` for every b, in one loop.
+
+    Each pass makes one minor cycle on every hull whose corral needs one
+    and one major cycle on every other unfinished hull, by the rules of
+    ``min_norm_point``, except that a hull whose major cycle fails to
+    strictly decrease ``||p||^2`` leaves the loop, flagged in the third
+    array returned; every other hull ends on its stop floor.  Hull b's
+    corral is ``C[b, :n[b]]`` with weights ``L[b, :n[b]]``; later slots
+    weigh zero.  A singular Gram matrix raises ``LinAlgError``.
+    """
+    P = V + Z[:, None]  # hull b is P[b]: norms, scores and corrals are read off its rows
+    sq = np.einsum("bij,bij->bi", P, P)
+    if not np.isfinite(sq).all():
+        raise NonFinite("vertex set has non-finite entries or squared norms")
+    B, m, k = P.shape
+    rows, cols = np.arange(B), np.arange(m + 1)
+    max_iter, floor = MAX_CYCLES_PER_VERTEX * m, _RESOLUTION * sq.max(axis=1)
+    C, L, n = np.zeros((B, m + 1), np.intp), np.zeros((B, m + 1)), np.ones((B, 1), np.intp)
+    C[:, 0], L[:, 0] = sq.argmin(axis=1), 1.0
+    X = P[rows, C[:, 0]]
+    xx, iters = np.full(B, np.inf), np.zeros(B, np.intp)
+    minor, live, stalled = np.zeros(B, bool), np.ones(B, bool), np.zeros(B, bool)
+    while live.any():
+        M = np.flatnonzero(minor)
+        if M.size:
+            iters[M] += 1
+            p = int(n[M].max())
+            lam, valid = L[M, :p], cols[:p] < n[M]
+            # padded slots repeat vertex 0, so their differences vanish, and
+            # an identity block gives them t = 0
+            Q = P[M[:, None], np.where(valid, C[M, :p], C[M, :1])]
+            D = Q[:, 1:] - Q[:, :1]
+            G = D @ D.transpose(0, 2, 1)
+            G.reshape(M.size, -1)[:, ::p] += ~valid[:, 1:]  # its diagonal
+            q = Q[:, 0, :, None]
+            t = np.linalg.solve(G, -(D @ q))
+            t += np.linalg.solve(G, -(D @ (q + D.transpose(0, 2, 1) @ t)))
+            mu = np.concatenate((1.0 - t.sum(axis=1), t[:, :, 0]), axis=1)
+            accept = ((mu > WEIGHT_DROP) | ~valid).all(axis=1)
+            # an accepted mu blocks nothing (theta = 1); else move toward mu
+            # until the first weight hits zero
+            blocking = (mu <= WEIGHT_DROP) & (lam - mu > 0)
+            theta = np.where(blocking, lam, np.inf) / np.where(blocking, lam - mu, 1.0)
+            theta = np.clip(theta.min(axis=1, keepdims=True), 0.0, 1.0)
+            lam = (1.0 - theta) * lam + theta * mu
+            keep = lam > WEIGHT_DROP
+            keep[np.arange(M.size), lam.argmax(axis=1)] = True
+            lam = np.where(keep, lam, 0.0)
+            lam = np.where(accept[:, None], lam, lam / lam.sum(axis=1, keepdims=True))
+            X[M] = (lam[:, None] @ Q)[:, 0]
+            kept = np.arange(M.size)[:, None], np.argsort(~keep, axis=1, kind="stable")
+            C[M, :p], L[M, :p] = C[M, :p][kept], lam[kept]
+            n[M, 0] = keep.sum(axis=1)
+            minor[M] = ~accept & (n[M, 0] > 1)
+
+        J = live & ~minor
+        xn = np.einsum("bk,bk->b", X, X)
+        scores = (P @ X[:, :, None])[:, :, 0]
+        j = scores.argmin(axis=1)
+        stalled |= J & (xn >= xx)
+        go = J & ~stalled
+        xx[go] = xn[go]
+        iters += go
+        if (go & (iters > max_iter)).any():
+            raise NoConvergence(f"min_norm_point: no convergence in {max_iter} cycles")
+        go &= scores[rows, j] < xx - floor
+        live &= minor | go
+        g = np.flatnonzero(go)
+        C[g, n[g, 0]] = j[g]
+        n[g] += 1
+        minor[g] = True
+
+    weights = np.bincount((rows[:, None] * m + C).ravel(), L.ravel(), minlength=B * m)
+    return X, weights.reshape(B, m), stalled
 
 
 def wolfe_residual(vertices: np.ndarray, point: np.ndarray) -> float:

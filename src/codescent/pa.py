@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -166,10 +167,13 @@ class DCForm:
 
     @staticmethod
     def from_dict(data: dict) -> "DCForm":
-        d = int(data["d"])
+        d = data["d"]
+        # int() would take 2.9 as 2 and true as 1; 2.0 is still the integer 2
+        if isinstance(d, bool) or not (isinstance(d, numbers.Integral) or isinstance(d, float) and d.is_integer()):
+            raise TypeError(f"d must be an integer, got {d!r}")
         plus = np.array([[p["a"], *p["v"]] for p in data["plus"]], dtype=float)
         minus = np.array([[q["b"], *q["w"]] for q in data["minus"]], dtype=float)
-        return DCForm(d, plus, minus)
+        return DCForm(int(d), plus, minus)
 
     @staticmethod
     def from_json(text: str) -> "DCForm":

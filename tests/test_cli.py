@@ -275,6 +275,32 @@ def test_malformed_problem_file_exits_input(tmp_path, capsys, text):
     assert f"cannot load problem file {prob}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "d, point",
+    [(2.9, "0,0"), (True, "0")],
+    ids=["d-fractional", "d-boolean"],
+)
+def test_non_integral_dimension_exits_input(tmp_path, capsys, d, point):
+    # a d that int() would truncate (2.9 -> 2, true -> 1) is bad input, and the
+    # rows fit the truncated d, so nothing later would catch it
+    n = len(point.split(","))
+    prob = tmp_path / "bad.json"
+    prob.write_text(json.dumps({"d": d, "plus": [{"a": 0, "v": [1] + [0] * (n - 1)}], "minus": [{"b": 0, "w": [0] * n}]}))
+    assert main(["certify", "--problem", str(prob), "--point", point]) == cli.EXIT_INPUT == 4
+    assert f"cannot load problem file {prob}: d must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_dimension_loads(tmp_path, capsys):
+    # "d": 2.0 is the integer 2, and answers as "d": 2 does
+    codes = []
+    for d in (2, 2.0):
+        prob = tmp_path / f"p{d}.json"
+        prob.write_text(json.dumps({"d": d, "plus": [{"a": 0, "v": [1, 0]}], "minus": [{"b": 0, "w": [0, 0]}]}))
+        codes.append(main(["certify", "--problem", str(prob), "--point", "0,0"]))
+        assert "cannot load" not in capsys.readouterr().err
+    assert codes[0] == codes[1] != cli.EXIT_INPUT
+
+
 @pytest.mark.parametrize("exc", [NoConvergence, Degenerate, ArmijoFailure])
 def test_solver_failure_exit_code(example_file, capsys, monkeypatch, exc):
     def failing(*args, **kwargs):

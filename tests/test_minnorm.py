@@ -188,3 +188,148 @@ def test_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(minnorm, "MAX_CYCLES_PER_VERTEX", 0)
     with pytest.raises(NoConvergence):
         min_norm_point(P)
+
+
+# ---------------------------------------------------------------------------
+# stacked projections: min_norm_point(vertices, shifts=Z)
+
+
+def _floor(P):
+    return 64 * np.finfo(float).eps * float(np.einsum("ij,ij->i", P, P).max())
+
+
+#: up to 12 shifts for hulls of up to 6 columns
+shift_stacks = hnp.arrays(float, st.tuples(st.integers(1, 12), st.just(6)), elements=st.floats(-10, 10))
+
+#: the stall rule's two hulls from test_scale_equivariance, in stacks
+STALLING = [np.array([[6.17501698e-08, -5.0], [-5.0, -5.0]]),
+            np.array([[-6.0] * 6, [0.0, 1.1920929e-07] + [-6.0] * 4, [0.0] + [-6.0] * 5])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(V=hulls, Z=shift_stacks, kinds=st.lists(st.integers(-1, 11), min_size=12, max_size=12), e=st.floats(-6, 6))
+@example(V=STALLING[0], Z=np.zeros((3, 6)), kinds=[-1, 0, 0] + [2] * 9, e=1.0)
+@example(V=STALLING[1], Z=np.zeros((2, 6)), kinds=[-1] * 12, e=1.0)
+# the Gram solve is too coarse on shift 1's corral: its loop stalls at
+# residual 1.2e-8 (floor 1.2e-12), so that translate is projected alone
+@example(
+    V=np.array([[-2.0, 0.0, 2.99999994], [-3.0, -1.0, 6.0], [2.0, -2.0, -1.00000003], [6.0, -4.0, -4.0], [4.0, -3.0, -3.0]]),
+    Z=np.array([[0.0, -1.0, -2.0], [1.0, 0.0, 0.0]]), kinds=[11] * 12, e=0.0,
+)
+# a corral with a singular Gram matrix: the stack is projected hull by hull
+@example(
+    V=np.array([[0.0, -2.0], [5.0, -2.0], [6.0, 2.0], [5.0, -5.0], [-2.0, -6.0], [-2.99999994, -4.0]]),
+    Z=np.array([[-3.0, -2.0]]), kinds=[11] * 12, e=0.0,
+)
+def test_stacked_matches_per_hull(V, Z, kinds, e):
+    """Every translate of a stack, projected in the lockstep loop, is
+    projected as the per-hull loop projects it alone."""
+    from codescent import minnorm
+
+    (m, k), B = V.shape, len(Z)
+    Z = Z[:, :k].copy()
+    # -1: a zero shift; j < b: a duplicate of shift j; else its own
+    for b, j in enumerate(kinds[:B]):
+        Z[b] = 0.0 if j < 0 else Z[j] if j < b else Z[b]
+    V, Z = 10.0**e * V, 10.0**e * Z
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minnorm, "STACK_MIN", 1)  # the lockstep loop from B = 1
+        points, weights = min_norm_point(V, shifts=Z)
+    assert points.shape == (B, k) and weights.shape == (B, m)
+    for b in range(B):
+        P = V + Z[b]
+        hull_scale = max(10.0**e, float(np.abs(P).max()))
+        res = wolfe_residual(P, points[b])
+        assert res <= _floor(P)
+        assert weights[b].min() >= 0 and abs(weights[b].sum() - 1.0) <= 1e-12
+        assert np.linalg.norm(weights[b] @ P - points[b]) <= 1e-9 * hull_scale
+        alone, _ = min_norm_point(P)
+        # a residual r bounds the squared distance to the minimum-norm point
+        gap = np.sqrt(res) + np.sqrt(wolfe_residual(P, alone))
+        assert np.linalg.norm(points[b] - alone) <= 1e-9 * hull_scale + gap
+
+
+def test_stacked_below_cut_over_is_the_per_hull_loop(rng):
+    from codescent import minnorm
+
+    V, Z = rng.normal(size=(9, 4)), rng.normal(size=(minnorm.STACK_MIN - 1, 4))
+    points, weights = min_norm_point(V, shifts=Z)
+    for b, z in enumerate(Z):
+        p, w = min_norm_point(V + z)
+        assert points[b].tobytes() == p.tobytes() and weights[b].tobytes() == w.tobytes()
+    empty = min_norm_point(V, shifts=np.zeros((0, 4)))
+    assert empty[0].shape == (0, 4) and empty[1].shape == (0, 9)
+
+
+@pytest.mark.parametrize(
+    "shifts, start",
+    [(np.ones(3), None), (np.ones((8, 2)), None), (np.ones((8, 3)), np.ones(3))],
+    ids=["one-dimensional", "wrong-width", "with-start"],
+)
+def test_malformed_shifts_rejected(shifts, start):
+    P = np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]])
+    with pytest.raises(ValueError):
+        min_norm_point(P, start, shifts=shifts)
+
+
+def test_stacked_overflowing_shift_raises():
+    from codescent import minnorm
+
+    V = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
+    Z = np.zeros((minnorm.STACK_MIN, 2))
+    Z[5] = [1e155, 0.0]  # one translate whose squared norms overflow
+    with pytest.raises(NonFinite):
+        min_norm_point(V, shifts=Z)
+
+
+def test_stacked_gram_overflow_projects_hull_by_hull():
+    # squared norms are finite, but corral differences as long as 2.2e154
+    # overflow the Gram matrix; lstsq on the differences does not square them
+    from codescent import minnorm
+
+    a = 8e153
+    V = a * np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
+    Z = np.zeros((minnorm.STACK_MIN, 2))
+    Z[:, 1] = a * np.linspace(-0.1, 0.1, minnorm.STACK_MIN)
+    points, weights = min_norm_point(V, shifts=Z)
+    for b, z in enumerate(Z):
+        p, w = min_norm_point(V + z)
+        assert points[b].tobytes() == p.tobytes() and weights[b].tobytes() == w.tobytes()
+    assert np.abs(points).max() <= 1e-9 * a
+
+
+def test_stacked_iteration_cap_raises(monkeypatch):
+    from codescent import NoConvergence, minnorm
+
+    V = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
+    Z = np.linspace(-1.0, 1.0, 2 * minnorm.STACK_MIN).reshape(-1, 2)
+    monkeypatch.setattr(minnorm, "MAX_CYCLES_PER_VERTEX", 0)
+    with pytest.raises(NoConvergence):
+        min_norm_point(V, shifts=Z)
+
+
+def test_stacked_random_stacks():
+    """Criterion 8 for stacked projections: about 500 random stacks of
+    ``STACK_MIN`` or more translates, each translate ending on its own stop
+    floor with Wolfe residual at most 1e-8, and bitwise repeatable."""
+    from codescent import minnorm
+
+    rng = np.random.default_rng(808)
+    worst = 0.0
+    for i in range(500):
+        m = int(rng.integers(1, 4)) if i % 4 == 0 else int(rng.integers(1, 65))
+        k = int(rng.integers(2, 12))
+        B = int(rng.integers(minnorm.STACK_MIN, 3 * minnorm.STACK_MIN))
+        c = float(rng.choice([0.3, 1.0, 4.0]))
+        V, Z = rng.normal(size=(m, k)) * c, rng.normal(size=(B, k)) * c
+        points, weights = min_norm_point(V, shifts=Z)
+        for b in range(B):
+            res = wolfe_residual(V + Z[b], points[b])
+            assert res <= min(1e-8, _floor(V + Z[b]))
+            worst = max(worst, res)
+        assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12 and weights.min() >= 0
+        assert np.abs(np.einsum("bm,bmk->bk", weights, V + Z[:, None]) - points).max() <= 1e-9 * c
+        if i % 100 == 0:
+            again = min_norm_point(V.copy(), shifts=Z.copy())
+            assert again[0].tobytes() == points.tobytes() and again[1].tobytes() == weights.tobytes()
+    assert worst <= 1e-8
