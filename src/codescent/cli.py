@@ -13,9 +13,10 @@ Machine output goes to stdout (or ``--out``); progress and human
 narration go to stderr.  Exit codes: 0 success / certified global
 minimum, 1 failed verification, a negative certificate or an
 ``undecided`` run, 2 unbounded below, 3 iteration limit, 4 input or
-usage error, 5 stalled at a non-global inf-stationary point (MCD with
-finite ``mu``), 6 a numerical solver failed (``NoConvergence``,
-``Degenerate`` or ``ArmijoFailure``).
+usage error, 5 MCD stalled at a point its certificate does not accept
+(a non-global inf-stationary point with finite ``mu``, or the minimum
+itself at ``tol = 0``), 6 a numerical solver failed (``NoConvergence``
+or ``Degenerate``).
 """
 
 from __future__ import annotations
@@ -28,19 +29,10 @@ import time
 
 import numpy as np
 
-from .convex import ConvexPAView
-from .errors import ArmijoFailure, Degenerate, NoConvergence
-from .mgcd import (
-    _unbounded_ray,
-    check_global_opt,
-    line_search_pa,
-    mcd_run,
-    mgcd_run,
-    project_piece,
-)
-from .mhd import MHDConfig, mhd_run
+from .errors import Degenerate, NoConvergence
+from .mgcd import GlobalRun, check_global_opt, mcd_run, mgcd_run, project_piece
 from .oracle import pa_global_min
-from .pa import DCForm, _csv_text, _default_tol, evaluate, global_codiff
+from .pa import DCForm, _csv_text, evaluate, global_codiff
 from .problems import WORKED_EXAMPLE_HYPER, WORKED_EXAMPLE_HYPO, generate_pa, worked_example
 
 EXIT_OK = 0
@@ -59,7 +51,7 @@ _STATUS_EXIT = {
 }
 
 
-_SOLVER_ERRORS = (NoConvergence, Degenerate, ArmijoFailure)
+_SOLVER_ERRORS = (NoConvergence, Degenerate)
 
 
 class InputError(ValueError):
@@ -119,31 +111,12 @@ def _start_point(args, d: int) -> np.ndarray:
     return np.zeros(d)
 
 
-def _run_method(method: str, f: DCForm, x0: np.ndarray, args):
-    """Run one method; returns (status, final_x, final_f, n_steps, trace_dict, trace_csv)."""
+def _run_method(method: str, f: DCForm, x0: np.ndarray, args) -> GlobalRun:
     if method == "mgcd":
-        run = mgcd_run(f, x0, tol=args.tol, max_iter=args.max_iter)
-    elif method == "mcd":
-        run = mcd_run(f, x0, mu=args.mu, tol=args.tol, max_iter=args.max_iter)
-    elif method == "mhd":
-        cfg = MHDConfig(stop_tol=args.tol, max_iter=args.max_iter)
-    else:
-        raise InputError(f"unknown method {method!r}")
-    if method != "mhd":
-        return run.status, run.final_x, run.final_f, run.n_steps, run.to_dict(), run.to_csv()
-    if f.minus.shape[0] != 1:
-        raise InputError("--method mhd needs a convex problem (a single min-part piece)")
-    ray = _unbounded_ray(f)
-    if ray is not None:
-        return "unbounded_below", x0, global_codiff(f, x0).value, 0, {
-            "status": "unbounded_below",
-            "ray": list(map(float, ray)),
-        }, ""
-    trace = mhd_run(
-        ConvexPAView(f), x0, cfg, exact_line_search=lambda x, v: line_search_pa(f, x, v).alpha
-    )
-    status = "global_min" if trace.status == "stationary" else trace.status
-    return status, trace.final_x, trace.final_f, len(trace.steps) - 1, trace.to_dict(), trace.to_csv()
+        return mgcd_run(f, x0, tol=args.tol, max_iter=args.max_iter)
+    if method == "mcd":
+        return mcd_run(f, x0, mu=args.mu, tol=args.tol, max_iter=args.max_iter)
+    raise InputError(f"unknown method {method!r}")
 
 
 def cmd_solve(args) -> int:
@@ -151,37 +124,32 @@ def cmd_solve(args) -> int:
     x0 = _start_point(args, f.d)
     _progress(f"solving d={f.d} l={f.plus.shape[0]} s={f.minus.shape[0]} with {args.method}")
     t0 = time.perf_counter()
-    status, xf, ff, n_steps, trace, trace_csv = _run_method(args.method, f, x0, args)
+    run = _run_method(args.method, f, x0, args)
     wall = time.perf_counter() - t0
 
     verified = None
-    if status == "global_min":
+    if run.status == "global_min":
         lp = pa_global_min(f)
-        gc = global_codiff(f, x0)
-        tol = _default_tol(gc.value, gc.hypo, gc.hyper, tol=args.tol)
-        verified = lp.bounded and abs(ff - lp.value) <= tol
+        # the run's tol, derived at x0 unless --tol gave it
+        verified = lp.bounded and abs(run.final_f - lp.value) <= run.certificate.tol
         if not verified:
-            _progress(f"VERIFICATION FAILED: claimed {ff}, oracle {lp.value if lp.bounded else 'unbounded'}")
+            _progress(f"VERIFICATION FAILED: claimed {run.final_f}, oracle {lp.value if lp.bounded else 'unbounded'}")
 
     result = {
         "method": args.method,
-        "status": status,
+        "status": run.status,
         "x0": list(map(float, x0)),
-        "final_x": list(map(float, xf)),
-        "final_f": float(ff),
-        "n_steps": n_steps,
+        "final_x": list(map(float, run.final_x)),
+        "final_f": float(run.final_f),
+        "n_steps": run.n_steps,
         "wall_time_s": wall,
         "oracle_verified": verified,
-        "trace": trace,
+        "trace": run.to_dict(),
     }
-    if args.format == "csv":
-        _emit(trace_csv, args.out)
-    else:
-        _emit(json.dumps(result, indent=2), args.out)
-    code = _STATUS_EXIT.get(status, EXIT_FAIL)
-    if status == "global_min" and not verified:
-        code = EXIT_FAIL
-    return code
+    _emit(run.to_csv() if args.format == "csv" else json.dumps(result, indent=2), args.out)
+    if run.status == "global_min" and not verified:
+        return EXIT_FAIL
+    return _STATUS_EXIT.get(run.status, EXIT_FAIL)
 
 
 def cmd_certify(args) -> int:
@@ -210,14 +178,14 @@ def cmd_compare(args) -> int:
     for method in methods:
         t0 = time.perf_counter()
         try:
-            status, _, ff, n_steps, _, _ = _run_method(method, f, x0, args)
+            run = _run_method(method, f, x0, args)
         except (ValueError, *_SOLVER_ERRORS) as exc:
             name = "" if isinstance(exc, ValueError) else f"{type(exc).__name__}: "
             rows.append([method, f"error: {name}{exc}", "", "", "", ""])
             continue
         wall = time.perf_counter() - t0
-        gap = abs(ff - lp.value) if lp.bounded else math.inf
-        rows.append([method, status, n_steps, repr(float(ff)), f"{wall:.6f}", repr(float(gap))])
+        gap = abs(run.final_f - lp.value) if lp.bounded else math.inf
+        rows.append([method, run.status, run.n_steps, repr(run.final_f), f"{wall:.6f}", repr(float(gap))])
     header = ["method", "status", "iterations", "final_value", "wall_time_s", "oracle_gap"]
     _emit(_csv_text(header, rows), args.out)
     return EXIT_OK
@@ -303,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-iter": dict(type=int, default=1000, dest="max_iter", help="iteration cap"),
         "--mu": dict(type=float, default=math.inf, help="hyper-offset cutoff (mcd only)"),
         "--out": dict(help="write machine output to this path instead of stdout"),
-        "--method": dict(choices=("mhd", "mcd", "mgcd"), default="mgcd"),
+        "--method": dict(choices=("mcd", "mgcd"), default="mgcd"),
         "--format": dict(choices=("json", "csv"), default="json"),
         "--point": dict(required=True, help="comma-separated point"),
         "--methods": dict(default="mgcd,mcd", help="comma-separated method list"),

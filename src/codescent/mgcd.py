@@ -29,9 +29,8 @@ through ``_project``, which projects all requested pieces in one
 ``min_norm_point(H(x), shifts=...)`` call, as translates of one
 hypodifferential, and the final certificate reuses the projections
 already made at the last iterate.  ``_unbounded_ray`` projects the s
-gradient hulls the same way from ``STACK_MIN`` of them on; fewer are
-projected one at a time, up to the first unbounded piece.  Both runs
-serialize to JSON and CSV.
+gradient hulls the same way, as translates of ``conv{v_i}``, in one
+call.  Both runs serialize to JSON and CSV.
 
 No threshold is absolute: every "is this zero?" reads against one
 ``tol``, checked or by default set to ``1e-9`` times the data scale by
@@ -46,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFinite
-from .minnorm import STACK_MIN, min_norm_point
+from .minnorm import min_norm_point
 from .pa import DCForm, GlobalCodiff, _csv_text, _default_tol, _record_dict, evaluate, global_codiff
 
 
@@ -90,8 +89,9 @@ class GlobalRun:
     """Outcome of an MGCD or MCD run.
 
     ``status`` is one of ``"global_min"``, ``"unbounded_below"``,
-    ``"inf_stationary"`` (MCD stalled at a non-global stationary point,
-    possible only with a finite ``mu``), ``"undecided"`` (MGCD discarded
+    ``"inf_stationary"`` (MCD stalled at a point its certificate does not
+    accept: with a finite ``mu``, or with ``mu = inf`` at ``tol = 0``,
+    where rounding reads as descent), ``"undecided"`` (MGCD discarded
     every piece, yet its own certificate at the final point does not
     hold) or ``"iter_limit"``.  ``to_dict`` carries every field and the
     ``discard_log``; ``to_csv`` has one row per iterate.
@@ -187,11 +187,7 @@ def _unbounded_ray(f: DCForm) -> np.ndarray | None:
     in ``t``; the first such piece gives ``-u / ||u||``.
     """
     V, W = f.plus[:, 1:], f.minus[:, 1:]
-    if len(W) >= STACK_MIN:
-        U = min_norm_point(V, shifts=W)[0]
-    else:  # a stack this small is projected hull by hull anyway: stop at the ray
-        U = (min_norm_point(V + w)[0] for w in W)
-    for w, u in zip(W, U):
+    for w, u in zip(W, min_norm_point(V, shifts=W)[0]):
         G = V + w
         # rounding of the sums in G and of the products G @ u
         bound = (G.shape[1] + 2) * np.finfo(float).eps * (np.abs(G) @ np.abs(u))
@@ -387,8 +383,10 @@ def mcd_run(
     global convergence).  Every candidate direction ``-v_j`` is line
     searched exactly and the best endpoint is taken; the run stops when
     no candidate yields descent.  With ``mu = inf`` the stall point is a
-    certified global minimum; with a finite ``mu`` it may be merely
-    inf-stationary, and the attached certificate distinguishes the two.
+    certified global minimum, unless ``tol = 0`` lets an ``a_j`` a few ulps
+    below zero fail the certificate there (the worked example from (2, 2)
+    ends ``inf_stationary`` at its minimum); with a finite ``mu`` it may be
+    merely inf-stationary, and the attached certificate distinguishes the two.
     As in ``mgcd_run``, a function unbounded below returns its ray before
     the first step; the line search reports any other unbounded ray.
 

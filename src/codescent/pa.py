@@ -204,11 +204,6 @@ class GlobalCodiff:
                 raise NonFinite("codifferential is not finite at this point")
             raise ValueError("codifferential offsets are not normalized")
 
-    @property
-    def tol(self) -> float:
-        """The default certificate tolerance at ``at`` (``_default_tol``)."""
-        return _default_tol(self.value, self.hypo, self.hyper)
-
     def expansion(self, dx: np.ndarray) -> float:
         """Exact increment ``f(at + dx) - f(at)`` predicted by the model."""
         dx = np.asarray(dx, dtype=float)

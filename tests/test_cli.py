@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from codescent import ArmijoFailure, DCForm, Degenerate, NoConvergence, evaluate, worked_example
+from codescent import DCForm, Degenerate, NoConvergence, evaluate, worked_example
 from codescent import cli
 from codescent.cli import main
 
@@ -56,15 +56,23 @@ def test_solve_example_all_methods(example_file, capsys):
         assert result["final_f"] == pytest.approx(0.0, abs=1e-9)
 
 
-def test_solve_mhd_requires_convex(example_file, capsys):
-    code, _ = run_cli(capsys, "solve", "--problem", example_file, "--method", "mhd")
-    assert code == 4
+def test_solve_method_mhd_is_rejected(example_file, capsys):
+    # MHD is a library method for ConvexFn objectives; on a convex DCForm
+    # the CLI's path is --method mcd
+    code = main(["solve", "--problem", example_file, "--method", "mhd"])
+    assert code == cli.EXIT_INPUT == 4
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "invalid choice: 'mhd'" in last and "'mcd', 'mgcd'" in last
+
+
+# On a convex DCForm, hypodifferential descent with an exact line search is
+# MCD with mu = inf, so the three solve_mhd cases below run --method mcd.
 
 
 def test_solve_mhd_convex_generated(capsys):
-    # the default stop rule is relative to the data: at 1e-10 an absolute
-    # 1e-8 would accept x0, where every projection is shorter than that
-    argv = ["solve", "--generate", "2,4,1,11", "--method", "mhd", "--x0", "3,3"]
+    # the default tol is relative to the data: at 1e-10 an absolute 1e-8
+    # would accept x0, where every projection is shorter than that
+    argv = ["solve", "--generate", "2,4,1,11", "--method", "mcd", "--x0", "3,3"]
     for c in (1e-10, 1.0, 1e6):
         code, out = run_cli(capsys, *argv, "--scale", str(c))
         assert code == 0
@@ -73,14 +81,13 @@ def test_solve_mhd_convex_generated(capsys):
         assert result["oracle_verified"] is True
         assert result["n_steps"] == 2
         assert result["final_f"] / c == pytest.approx(3.125, rel=1e-12)
-    assert main([*argv, "--tol", "0"]) == cli.EXIT_INPUT
 
 
 def test_solve_mhd_zero_function(tmp_path, capsys):
     # f = 0 has a zero data scale; its zero certificate still stops the run
     prob = tmp_path / "zero.json"
     prob.write_text('{"d": 1, "plus": [{"a": 0, "v": [0]}], "minus": [{"b": 0, "w": [0]}]}')
-    code, out = run_cli(capsys, "solve", "--problem", str(prob), "--method", "mhd")
+    code, out = run_cli(capsys, "solve", "--problem", str(prob), "--method", "mcd")
     assert code == 0
     assert json.loads(out)["n_steps"] == 0
 
@@ -96,14 +103,14 @@ def test_solve_unbounded_exit_code(tmp_path, capsys):
 def test_solve_mhd_unbounded(tmp_path, capsys):
     prob = tmp_path / "u.json"
     prob.write_text(CONVEX_UNBOUNDED)
-    code, out = run_cli(capsys, "solve", "--problem", str(prob), "--method", "mhd")
+    code, out = run_cli(capsys, "solve", "--problem", str(prob), "--method", "mcd")
     assert code == cli.EXIT_UNBOUNDED
     result = json.loads(out)
     assert result["status"] == "unbounded_below"
     assert result["trace"]["ray"] == pytest.approx([-1.0])
 
 
-@pytest.mark.parametrize("method", ["mgcd", "mcd", "mhd"])
+@pytest.mark.parametrize("method", ["mgcd", "mcd"])
 def test_solve_overflowing_start_exits_input(tmp_path, capsys, method):
     # f = max(4x) + 0 is unbounded below, but f(1e308) overflows: each method
     # anchors x0 before it reports the ray, so the start is an input error
@@ -121,7 +128,7 @@ def test_solve_iter_limit_exit_code(example_file, capsys):
     assert json.loads(out)["status"] == "iter_limit"
 
 
-@pytest.mark.parametrize("method", ["mgcd", "mcd", "mhd"])
+@pytest.mark.parametrize("method", ["mgcd", "mcd"])
 def test_solve_negative_max_iter_is_input_error(capsys, method):
     argv = ["solve", "--generate", "2,4,1,11", "--method", method, "--max-iter", "-1"]
     code = main(argv)
@@ -139,7 +146,8 @@ CONVEX = ("--generate", "2,4,1,0")
         # an infinite tol accepted every offset: a verified global_min at f = 9
         (["solve", *CONVEX, "--tol", "inf"], "tol must be finite and >= 0"),
         (["solve", *CONVEX, "--tol", "inf", "--method", "mcd"], "tol must be finite"),
-        (["solve", *CONVEX, "--tol", "inf", "--method", "mhd"], "stop_tol must be finite"),
+        # f(x0) overflows: the codifferential there is not finite, in every method
+        (["solve", *CONVEX, "--method", "mgcd", "--x0", "1e308,1e308"], "not finite"),
         (["certify", *CONVEX, "--tol", "inf", "--point", "0,0"], "tol must be finite"),
         (["solve", *CONVEX, "--tol", "nan"], "tol must be finite"),
         (["solve", *CONVEX, "--tol=-1e-9"], "tol must be finite"),
@@ -147,9 +155,7 @@ CONVEX = ("--generate", "2,4,1,0")
         (["solve", *CONVEX, "--method", "mcd", "--mu", "-1"], "mu must be >= 0"),
         (["certify", *CONVEX, "--point", "nan,0"], "non-finite entry"),
         (["solve", *CONVEX, "--x0", "inf,0"], "non-finite entry"),
-        # f(x0) overflows: the codifferential there is not finite, in every method
-        (["solve", *CONVEX, "--method", "mhd", "--x0", "1e308,1e308"], "not finite"),
-        (["solve", *CONVEX, "--method", "mgcd", "--x0", "1e308,1e308"], "not finite"),
+        (["solve", *CONVEX, "--method", "mcd", "--x0", "1e308,1e308"], "not finite"),
     ],
 )
 def test_invalid_tolerances_and_non_finite_input_exit_input(capsys, argv, message):
@@ -173,19 +179,18 @@ def test_solve_csv_format(example_file, capsys):
     assert [float(r[1]) for r in rows] == pytest.approx([1.0, 0.0], abs=1e-12)
     assert [r[2:] for r in rows] == [["0", "", "8", "1;3;4;5;6;7"], ["", "", "2", "0;2"]]
 
-    # MHD on f = max(4x - 4, -4x - 4, 4y + 3, -4y) + 2 + y, exact line search
+    # MCD on the convex f = max(4x - 4, -4x - 4, 4y + 3, -4y) + 2 + y
     code, out = run_cli(
-        capsys, "solve", "--generate", "2,4,1,11", "--method", "mhd", "--x0", "3,3", "--format", "csv"
+        capsys, "solve", "--generate", "2,4,1,11", "--method", "mcd", "--x0", "3,3", "--format", "csv"
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "n,f,norm,alpha,k"
+    assert lines[0] == "n,f,chosen_j,alpha,n_projections,discarded"
     rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows] == ["0", "1", "2"]
     assert [float(r[1]) for r in rows] == pytest.approx([20.0, 136.0 / 27.0, 3.125], abs=1e-12)
-    assert float(rows[-1][2]) <= 1e-8
     assert [r[3] == "" for r in rows] == [False, False, True]
-    assert [r[4] for r in rows] == ["", "", ""]
+    assert [r[2:3] + r[4:] for r in rows] == [["0", "1", ""], ["0", "1", ""], ["", "1", ""]]
 
 
 def test_certify_global_and_not(example_file, capsys):
@@ -224,6 +229,17 @@ def test_compare_solver_failure_row(example_file, capsys, monkeypatch):
     rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
     assert rows[0][:2] == ["mgcd", "global_min"]
     assert rows[1][:2] == ["mcd", "error: NoConvergence: solver gave up"]
+
+
+def test_compare_reports_mhd_as_an_error_row(example_file, capsys):
+    code, out = run_cli(
+        capsys, "compare", "--problem", example_file, "--methods", "mgcd,mcd,mhd", "--x0", "2,2"
+    )
+    assert code == 0
+    rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+    assert [r[:2] for r in rows] == [
+        ["mgcd", "global_min"], ["mcd", "global_min"], ["mhd", "error: unknown method 'mhd'"]
+    ]
 
 
 def test_compare_emits_method_table(example_file, capsys):
@@ -301,7 +317,7 @@ def test_integral_float_dimension_loads(tmp_path, capsys):
     assert codes[0] == codes[1] != cli.EXIT_INPUT
 
 
-@pytest.mark.parametrize("exc", [NoConvergence, Degenerate, ArmijoFailure])
+@pytest.mark.parametrize("exc", [NoConvergence, Degenerate])
 def test_solver_failure_exit_code(example_file, capsys, monkeypatch, exc):
     def failing(*args, **kwargs):
         raise exc("solver gave up")

@@ -355,27 +355,30 @@ def test_check_global_opt_unbounded():
 
 
 def test_unbounded_ray_of_a_later_piece_in_a_stack():
-    # 12 pieces, one stacked projection: only piece 9's gradient hull, the
-    # square [-1, 1]^2 shifted by (3, 0.5), misses the origin
+    # s pieces, one stacked projection, on either side of the cut-over: only
+    # the gradient hull of the piece before the last, the square [-1, 1]^2
+    # shifted by (3, 0.5), misses the origin; without it every hull holds it
     from codescent import minnorm
     from codescent.mgcd import _unbounded_ray
 
     rng = np.random.default_rng(12)
     square = [[0.0, 1.0, 1.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0], [0.0, -1.0, -1.0]]
     inner = np.column_stack((rng.normal(size=6), rng.uniform(-0.9, 0.9, (6, 2))))
-    minus = np.column_stack((rng.normal(size=12), rng.uniform(-0.5, 0.5, (12, 2))))
-    minus[9, 1:] = [3.0, 0.5]
-    f = DCForm(2, np.vstack([square, inner]), minus)
-    assert f.minus.shape[0] >= minnorm.STACK_MIN
-    G = f.plus[:, 1:] + f.minus[9, 1:]
-    u, _ = minnorm.min_norm_point(G)  # the per-hull loop's projection
-    bound = (G.shape[1] + 2) * np.finfo(float).eps * (np.abs(G) @ np.abs(u))
-    assert np.all(G @ u > bound)
-    ray = _unbounded_ray(f)
-    assert np.allclose(ray, -u / np.linalg.norm(u), rtol=0, atol=1e-12)
-    assert np.allclose(ray, -np.array([2.0, 0.0]) / 2.0, rtol=0, atol=1e-12)
-    ok, cert = check_global_opt(f, [0.0, 0.0])
-    assert not ok and np.array_equal(cert.ray, ray)
+    plus = np.vstack([square, inner])
+    for s in (minnorm.STACK_MIN - 1, minnorm.STACK_MIN):
+        minus = np.column_stack((rng.normal(size=s), rng.uniform(-0.5, 0.5, (s, 2))))
+        assert _unbounded_ray(DCForm(2, plus, minus)) is None
+        minus[s - 2, 1:] = [3.0, 0.5]
+        f = DCForm(2, plus, minus)
+        G = f.plus[:, 1:] + f.minus[s - 2, 1:]
+        u, _ = minnorm.min_norm_point(G)  # the per-hull loop's projection
+        bound = (G.shape[1] + 2) * np.finfo(float).eps * (np.abs(G) @ np.abs(u))
+        assert np.all(G @ u > bound)
+        ray = _unbounded_ray(f)
+        assert np.allclose(ray, -u / np.linalg.norm(u), rtol=0, atol=1e-12)
+        assert np.allclose(ray, -np.array([2.0, 0.0]) / 2.0, rtol=0, atol=1e-12)
+        ok, cert = check_global_opt(f, [0.0, 0.0])
+        assert not ok and np.array_equal(cert.ray, ray)
 
 
 @pytest.fixture(scope="module")

@@ -134,15 +134,17 @@ def global_codiff_reference(f, x):
     kx=st.integers(-60, 60),
 )
 def test_global_codiff_carries_value_and_tol(seed, d, l, s, k, kx):
-    # the anchor is the one place that knows f(x) and the default tol there:
-    # its value is evaluate's, its tol the default rule, its rows the reference's
+    # the anchor carries f(x) and the rows the default tol there reads: its
+    # value is evaluate's, its rows the reference's, and the tol 1e-9 times
+    # the largest of them in absolute value
     r = np.random.default_rng(seed)
     f = DCForm(d, r.normal(size=(l, d + 1)) * 2.0**k, r.normal(size=(s, d + 1)) * 2.0**k)
     x = r.normal(size=d) * 2.0**kx
     gc = global_codiff(f, x)
     fx = evaluate(f, x)
     assert gc.value == fx
-    assert gc.tol == _default_tol(fx, gc.hypo, gc.hyper)
+    scale = max(abs(fx), np.abs(gc.hypo).max(), np.abs(gc.hyper).max())
+    assert _default_tol(gc.value, gc.hypo, gc.hyper) == 1e-9 * scale
     hypo, hyper = global_codiff_reference(f, x)
     assert gc.hypo.tobytes() == hypo.tobytes() and gc.hyper.tobytes() == hyper.tobytes()
 
