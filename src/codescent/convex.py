@@ -51,9 +51,6 @@ class ConvexFn:
     def value_and_hypodiff(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         raise NotImplementedError
 
-    def __call__(self, x) -> float:
-        return self.value(np.asarray(x, dtype=float))
-
 
 class SmoothConvex(ConvexFn):
     """Differentiable convex atom given by a value-and-gradient callback.

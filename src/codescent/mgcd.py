@@ -81,7 +81,6 @@ class IterationRecord:
     discarded: list[int] = field(default_factory=list)
     chosen_j: int | None = None
     alpha: float | None = None
-    step_trial_value: float | None = None
 
 
 @dataclass
@@ -93,16 +92,20 @@ class GlobalRun:
     accept: with a finite ``mu``, or with ``mu = inf`` at ``tol = 0``,
     where rounding reads as descent), ``"undecided"`` (MGCD discarded
     every piece, yet its own certificate at the final point does not
-    hold) or ``"iter_limit"``.  ``to_dict`` carries every field and the
-    ``discard_log``; ``to_csv`` has one row per iterate.
+    hold) or ``"iter_limit"``.  Each iterate is its record's ``x``, and
+    ``iterates`` reads them.  ``to_dict`` carries every field, the
+    ``iterates`` and the ``discard_log``; ``to_csv`` has one row per iterate.
     """
 
     method: str
-    iterates: list[np.ndarray] = field(default_factory=list)
     records: list[IterationRecord] = field(default_factory=list)
     status: str = "iter_limit"
     certificate: Certificate | None = None
     ray: np.ndarray | None = None
+
+    @property
+    def iterates(self) -> list[np.ndarray]:
+        return [rec.x for rec in self.records]
 
     @property
     def discard_log(self) -> list[tuple[int, int]]:
@@ -111,7 +114,7 @@ class GlobalRun:
 
     @property
     def final_x(self) -> np.ndarray:
-        return self.iterates[-1]
+        return self.records[-1].x
 
     @property
     def final_f(self) -> float:
@@ -119,10 +122,10 @@ class GlobalRun:
 
     @property
     def n_steps(self) -> int:
-        return len(self.iterates) - 1
+        return len(self.records) - 1
 
     def to_dict(self) -> dict:
-        return _record_dict(self, discard_log=self.discard_log)
+        return _record_dict(self, iterates=self.iterates, discard_log=self.discard_log)
 
     def to_csv(self) -> str:
         rows = (
@@ -316,7 +319,7 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step)
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     x = np.array(x0, dtype=float, ndmin=1)
-    run = GlobalRun(method=method, iterates=[x], ray=_unbounded_ray(f))
+    run = GlobalRun(method=method, ray=_unbounded_ray(f))
     if run.ray is not None:
         run.status = "unbounded_below"
     for n in range(max_iter + 1):
@@ -329,7 +332,6 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step)
         x = step(gc, rec, run, tol)
         if x is None:
             return run
-        run.iterates.append(x)
 
 
 def mgcd_run(
@@ -363,7 +365,6 @@ def mgcd_run(
         trials = {j: rec.x + rec.projections[j][1:] / rec.projections[j][0] for j in active}
         values = {j: evaluate(f, y) for j, y in trials.items()}
         rec.chosen_j = min(values, key=values.get)
-        rec.step_trial_value = values[rec.chosen_j]
         return trials[rec.chosen_j]
 
     return _descend("mgcd", f, x0, tol, max_iter, step)
@@ -389,10 +390,6 @@ def mcd_run(
     merely inf-stationary, and the attached certificate distinguishes the two.
     As in ``mgcd_run``, a function unbounded below returns its ray before
     the first step; the line search reports any other unbounded ray.
-
-    Each record's ``step_trial_value`` is the best explicit-step value
-    ``min_j f(x + v_j / a_j)`` over descent candidates, so traces can
-    be checked for per-step dominance over the explicit-step method.
     """
     if not mu >= 0:
         raise ValueError(f"mu must be >= 0 or inf, got {mu}")
@@ -401,10 +398,7 @@ def mcd_run(
     def step(gc: GlobalCodiff, rec: IterationRecord, run: GlobalRun, tol: float):
         cand = [j for j in range(s) if gc.hyper[j, 0] <= mu + tol]
         rec.projections.update(_project(gc, cand))
-        descent = [p for p in rec.projections.values() if p[0] < -tol]
-        if descent:
-            rec.step_trial_value = min(evaluate(f, rec.x + p[1:] / p[0]) for p in descent)
-
+        descent = any(p[0] < -tol for p in rec.projections.values())
         # every piece a candidate and none descending certifies x as it stands
         searches = {}
         for j in cand if descent or len(cand) < s else []:

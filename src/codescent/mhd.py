@@ -91,10 +91,6 @@ class MHDTrace:
     stop_tol: float | None = None
 
     @property
-    def values(self) -> np.ndarray:
-        return np.array([s.f for s in self.steps])
-
-    @property
     def final_x(self) -> np.ndarray:
         return self.steps[-1].x
 

@@ -150,9 +150,6 @@ class DCForm:
         object.__setattr__(self, "plus", _freeze(plus))
         object.__setattr__(self, "minus", _freeze(minus))
 
-    def __call__(self, x):
-        return evaluate(self, x)
-
     # -- serialization ------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -383,8 +380,6 @@ class Sum:
     children: tuple = field(default_factory=tuple)
 
     def __init__(self, *children):
-        if len(children) == 1 and isinstance(children[0], (list, tuple)):
-            children = tuple(children[0])
         object.__setattr__(self, "children", tuple(children))
 
 

@@ -104,6 +104,14 @@ def discard_violations(f, run):
     return out
 
 
+def explicit_step_value(f, rec, tol):
+    """Best explicit-step value ``min_j f(x + v_j / a_j)`` at a run record,
+    over its projections with ``a_j < -tol``, or None if none descends:
+    what MGCD's step would reach from the same point."""
+    return min((pa.evaluate(f, rec.x + p[1:] / p[0]) for p in rec.projections.values() if p[0] < -tol),
+               default=None)
+
+
 def instance_grid(n_seeds=10):
     """The acceptance grid: d in 2..5, l <= 10, s <= 6, ``n_seeds`` seeds
     each (200 bounded-below instances at the default 10)."""

@@ -6,6 +6,7 @@ import pytest
 from codescent import DCForm, Degenerate, NoConvergence, evaluate, worked_example
 from codescent import cli
 from codescent.cli import main
+from codescent.oracle import LPOutcome
 
 UNBOUNDED = '{"d": 1, "plus": [{"a": 0, "v": [1]}], "minus": [{"b": 0, "w": [0]}]}'
 # f = max(x, 2x): convex, one piece, unbounded below
@@ -265,6 +266,32 @@ def test_reproduce_example_passes(capsys):
     assert all(result["checks"].values())
 
 
+@pytest.mark.parametrize(
+    "lp",
+    [LPOutcome("bounded", np.zeros(2), 1.0), LPOutcome("unbounded_below", ray=np.ones(2))],
+    ids=["value", "unbounded"],
+)
+def test_solve_oracle_disagreement_fails_verification(example_file, capsys, monkeypatch, lp):
+    monkeypatch.setattr(cli, "pa_global_min", lambda f: lp)
+    code = main(["solve", "--problem", example_file, "--x0", "2,2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_FAIL == 1
+    assert json.loads(captured.out)["oracle_verified"] is False
+    assert "VERIFICATION FAILED: claimed " in captured.err
+
+
+def test_reproduce_example_failing_check_exits_fail(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "WORKED_EXAMPLE_HYPO", set())
+    code = main(["reproduce-example"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_FAIL == 1
+    checks = json.loads(captured.out)["checks"]
+    assert [name for name, ok in checks.items() if not ok] == [
+        "hypodifferential at (2,2) is the known 16-vertex set"
+    ]
+    assert "[FAIL] hypodifferential" in captured.err and "all checks passed" not in captured.err
+
+
 def test_input_errors(tmp_path, capsys):
     assert run_cli(capsys, "solve", "--problem", str(tmp_path / "nope.json"))[0] == 4
     assert run_cli(capsys, "solve")[0] == 4
@@ -275,6 +302,10 @@ def test_input_errors(tmp_path, capsys):
     prob = tmp_path / "p.json"
     prob.write_text(worked_example().to_json())
     assert run_cli(capsys, "solve", "--problem", str(prob), "--x0", "1,2,3")[0] == 4
+    assert main(["solve", "--problem", str(prob), "--x0", "a,b"]) == 4
+    assert "cannot parse float list 'a,b'" in capsys.readouterr().err
+    assert main(["certify", "--problem", str(prob), "--point", "1,2,3"]) == 4
+    assert "--point has 3 entries, problem dimension is 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -65,6 +65,10 @@ def test_hypo_sum_examples():
     assert np.allclose(scaled, [[0.0, 8.0]])
     with pytest.raises(ValueError):
         ConvexCombination([(-1.0, f)])
+    with pytest.raises(ValueError, match="need at least one term"):
+        ConvexCombination([])
+    with pytest.raises(DimensionMismatch):
+        ConvexCombination([(1.0, f), (1.0, sq_half())])
 
 
 def test_hypo_max_affine_pair():
@@ -75,6 +79,10 @@ def test_hypo_max_affine_pair():
 def test_hypo_max_single_child_unchanged():
     f = x_squared()
     assert np.allclose(MaxOf([f]).hypodiff([3.0]), f.hypodiff([3.0]))
+    with pytest.raises(ValueError, match="need at least one child"):
+        MaxOf([])
+    with pytest.raises(DimensionMismatch):
+        MaxOf([f, sq_half()])
 
 
 def two_pass_hypo_max(children, x):

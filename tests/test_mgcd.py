@@ -29,8 +29,9 @@ from codescent import (
     theta_lower_bound,
     worked_example,
 )
+from codescent import mgcd
 from codescent.mgcd import LineSearchResult
-from conftest import discard_violations, instance_grid
+from conftest import discard_violations, explicit_step_value, instance_grid
 
 X0 = np.array([2.0, 2.0])
 EXACT_PROJ = np.array([-1.0 / 9.0, 2.0 / 9.0, 2.0 / 9.0])
@@ -587,6 +588,21 @@ def test_mcd_unbounded_line():
     assert np.allclose(run.ray, [-1.0])
 
 
+def test_mcd_line_search_unbounded_exit(monkeypatch):
+    # _unbounded_ray ends every unbounded run before its first step, so the line
+    # search's own unbounded exit is reached only with the check stubbed out.
+    # The stub also shows that check to be the one real guard: without it MCD
+    # claims global_min on about two in three small unbounded integer DCForms,
+    # where no candidate descends, so the step certifies x with no line search.
+    f = DCForm(1, [[0, -3], [-1, 0], [-1, -1]], [[-3, -3]])
+    assert np.array_equal(mgcd._unbounded_ray(f), [1.0])
+    monkeypatch.setattr(mgcd, "_unbounded_ray", lambda f: None)
+    run = mcd_run(f, [-3.0])
+    assert run.status == "unbounded_below"
+    assert np.array_equal(run.ray, [1.0])
+    assert run.n_steps == 0 and run.certificate is None
+
+
 def test_mcd_dominates_explicit_step():
     for d, l, s, seed in instance_grid(3):
         f = generate_pa(seed, d, l, s)
@@ -597,8 +613,9 @@ def test_mcd_dominates_explicit_step():
         assert ok
         assert abs(run.final_f - pa_global_min(f).value) <= 1e-6
         for rec, nxt in zip(run.records, run.records[1:]):
-            if rec.step_trial_value is not None:
-                assert nxt.f <= rec.step_trial_value + 1e-9 * max(1.0, abs(rec.f))
+            trial = explicit_step_value(f, rec, run.certificate.tol)
+            if trial is not None:
+                assert nxt.f <= trial + 1e-9 * max(1.0, abs(rec.f))
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +654,7 @@ def test_global_run_json_roundtrip():
 
 
 RUN_KEYS = {"method", "status", "iterates", "records", "discard_log", "certificate", "ray"}
-RECORD_KEYS = {"n", "x", "f", "projections", "discarded", "chosen_j", "alpha", "step_trial_value"}
+RECORD_KEYS = {"n", "x", "f", "projections", "discarded", "chosen_j", "alpha"}
 CERT_KEYS = {"point", "a_values", "tol", "is_global", "ray"}
 
 
@@ -668,7 +685,7 @@ def test_global_run_json_pinned(method, discard_log, discarded, alpha, a_values)
     assert [first["discarded"], last["discarded"]] == discarded
     assert (first["chosen_j"], last["chosen_j"], last["alpha"]) == (0, None, None)
     assert first["alpha"] == (None if alpha is None else pytest.approx(alpha, abs=1e-12))
-    assert first["f"] == 1.0 and first["step_trial_value"] == pytest.approx(0.0, abs=1e-12)
+    assert first["f"] == 1.0 and last["f"] == pytest.approx(0.0, abs=1e-12)
     assert sorted(first["projections"]) == [str(j) for j in range(8)]
     assert np.allclose(first["projections"]["0"], EXACT_PROJ, rtol=0.0, atol=1e-12)
 

@@ -67,7 +67,16 @@ def test_run_on_parabola():
     assert trace.status == "stationary"
     assert trace.steps[-1].norm <= 1e-8
     assert abs(trace.final_x[0]) <= 1e-4
-    assert np.all(np.diff(trace.values) <= 0)
+    assert np.all(np.diff([s.f for s in trace.steps]) <= 0)
+
+
+def test_run_reraises_armijo_failure_on_a_broken_oracle():
+    # a gradient of the wrong sign makes -v an ascent direction; the decrease
+    # the Armijo test asks for is far above f's float resolution, so the
+    # failure is a broken oracle and not the float floor
+    wrong_sign = SmoothConvex(1, lambda x: (x @ x, -2 * x))
+    with pytest.raises(ArmijoFailure):
+        mhd_run(wrong_sign, [3.0])
 
 
 def test_run_starts_at_stationary_point():
@@ -208,6 +217,12 @@ def test_negative_max_iter_rejected():
         mhd_run(x_squared(), [1.0], MHDConfig(max_iter=-1))
     trace = mhd_run(x_squared(), [1.0], MHDConfig(max_iter=0))
     assert trace.status == "iter_limit" and len(trace.steps) == 1
+
+
+@pytest.mark.parametrize("sigma, gamma", [(1.0, 0.5), (0.1, 0.0)])
+def test_armijo_parameters_outside_unit_interval_rejected(sigma, gamma):
+    with pytest.raises(ValueError, match="sigma and gamma must lie in"):
+        MHDConfig(sigma=sigma, gamma=gamma)
 
 
 @pytest.mark.parametrize("stop_tol", [0.0, -1.0, np.nan, np.inf])

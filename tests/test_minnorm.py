@@ -249,6 +249,33 @@ def test_stacked_matches_per_hull(V, Z, kinds, e):
         assert np.linalg.norm(points[b] - alone) <= 1e-9 * hull_scale + gap
 
 
+#: a hull whose major cycle from vertex 0 fails to decrease ||p||^2 and
+#: leaves a larger gap, so the stall rule keeps the point before it
+STALL_BEFORE = np.array([[-1.2192515379581520e-12, -1.0, 1.0, -1.0],
+                         [0.99999999999878075, -2.0, 0.0, -1.0],
+                         [0.99999999999878075, 1.0, 2.0, -2.0],
+                         [-1.0000000000012192, -2.0, 2.0, 1.0]])
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+def test_stall_keeps_the_point_before(stacked):
+    from codescent import minnorm
+
+    P = STALL_BEFORE
+    if stacked:
+        # every zero-shifted translate stalls in the lockstep loop and is
+        # handed to the per-hull loop, which stalls the same way
+        Z = np.zeros((minnorm.STACK_MIN, P.shape[1]))
+        assert minnorm._lockstep(P, Z)[2].all()
+        points, weights = min_norm_point(P, shifts=Z)
+    else:
+        points, weights = (a[None] for a in min_norm_point(P))
+    for p, w in zip(points, weights):
+        assert p.tobytes() == P[0].tobytes() and w.tobytes() == np.eye(4)[0].tobytes()
+        # the stall exit, not the floor: the residual is 8.6 times the floor
+        assert wolfe_residual(P, p) == pytest.approx(8.58125 * _floor(P), rel=1e-9)
+
+
 def test_stacked_below_cut_over_is_the_per_hull_loop(rng):
     from codescent import minnorm
 

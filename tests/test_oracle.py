@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from codescent import (
     DCForm,
+    Degenerate,
     classify_nonnegative,
     evaluate,
     min_max_affine,
@@ -14,6 +15,7 @@ from codescent import (
     pa_global_min,
     worked_example,
 )
+from codescent import oracle
 from codescent.problems import GEN_OFFSET, _cross_scale
 
 
@@ -153,6 +155,12 @@ def test_global_min_showcase():
     assert out.bounded
     assert out.value == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(out.argmin, [0.0, 0.0], atol=1e-9)
+
+
+def test_pivot_cap_raises_degenerate(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_PIVOTS", 0)
+    with pytest.raises(Degenerate, match="simplex iteration cap exceeded"):
+        pa_global_min(worked_example())
 
 
 def test_global_min_abs():

@@ -10,6 +10,7 @@ from codescent import (
     DimensionMismatch,
     Max,
     Min,
+    NonFinite,
     Scale,
     SizeOverflow,
     Sum,
@@ -323,6 +324,8 @@ def test_size_overflow(rng, monkeypatch):
 def test_dimension_mismatch_in_calculus():
     with pytest.raises(DimensionMismatch):
         codiff_sum([ABS_X, g1_dc()])
+    with pytest.raises(ValueError, match="need at least one operand"):
+        codiff_sum([])
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +336,18 @@ def test_expr_to_dc_affine_leaf():
     f = expr_to_dc(Affine(0.0, (1.0, 0.0)))
     assert np.allclose(f.plus, [[0.0, 1.0, 0.0]])
     assert np.allclose(f.minus, [[0.0, 0.0, 0.0]])
+
+
+def test_expr_to_dc_rejects_malformed_trees():
+    with pytest.raises(DimensionMismatch, match="mixed leaf dimensions"):
+        expr_to_dc(Sum(Affine(0.0, (1.0,)), Affine(0.0, (1.0, 2.0))))
+    with pytest.raises(ValueError, match="pass d"):
+        expr_to_dc(Const(1.0))
+    assert evaluate(expr_to_dc(Const(1.0), d=2), [3.0, 4.0]) == 1.0
+    with pytest.raises(DimensionMismatch, match="leaf has dimension 1, expected 2"):
+        expr_to_dc(Affine(0.0, (1.0,)), d=2)
+    with pytest.raises(TypeError, match="not a PAExpr node"):
+        expr_to_dc(Max(Affine(0.0, (1.0,)), 2.0), d=1)
 
 
 def test_expr_to_dc_min_of_affines():
@@ -390,3 +405,7 @@ def test_dcform_validation():
         DCForm(2, np.zeros((0, 3)), np.zeros((1, 3)))
     with pytest.raises(DimensionMismatch):
         DCForm(2, np.zeros((1, 2)), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        DCForm(0, np.zeros((1, 1)), np.zeros((1, 1)))
+    with pytest.raises(NonFinite, match="plus part"):
+        DCForm(1, [[0.0, np.nan]], [[0.0, 0.0]])
