@@ -24,13 +24,13 @@ their directions; ``line_search_pa`` reads ``f`` off its two envelopes
 in O((l + s) log(l + s)) time and O(l + s) memory.
 
 Both are one loop, ``_descend``, with two step rules.  It anchors each
-iterate, value included, with ``global_codiff``, every projection goes
-through ``_project``, which projects all requested pieces in one
-``min_norm_point(H(x), shifts=...)`` call, as translates of one
-hypodifferential, and the final certificate reuses the projections
-already made at the last iterate.  ``_unbounded_ray`` projects the s
-gradient hulls the same way, as translates of ``conv{v_i}``, in one
-call.  Both runs serialize to JSON and CSV.
+iterate, value included, with ``global_codiff`` and projects all s
+pieces there in one ``min_norm_point`` call on the stack of translates
+``H(x) + z_j(x)``; the step reads the pieces it needs from that array,
+and the final certificate reads every piece's offset from it, as
+``check_global_opt`` does.  ``_unbounded_ray`` projects the s gradient
+hulls ``conv{v_i + w_j}`` the same way, in one call.  Both runs
+serialize to JSON and CSV.
 
 No threshold is absolute: every "is this zero?" reads against one
 ``tol``, checked or by default set to ``1e-9`` times the data scale by
@@ -158,25 +158,8 @@ def _check_index(f: DCForm, j: int) -> None:
 def project_piece(f: DCForm, x, j: int) -> np.ndarray:
     """Minimum-norm element ``(a_j(x), v_j(x))`` of ``H(x) + z_j(x)``."""
     _check_index(f, j)
-    return _project(global_codiff(f, x), [j])[j]
-
-
-def _project(gc: GlobalCodiff, indices) -> dict[int, np.ndarray]:
-    """``{j: (a_j, v_j)}``, the minimum-norm element of ``H(x) + z_j(x)``
-    for each ``j`` in ``indices``: the one place that projects them, all
-    in one call, as translates of ``H(x)``."""
-    indices = list(indices)
-    return dict(zip(indices, min_norm_point(gc.hypo, shifts=gc.hyper[indices])[0]))
-
-
-def _certificate(
-    gc: GlobalCodiff, tol: float, done: dict[int, np.ndarray], ray: np.ndarray | None = None
-) -> Certificate:
-    """Certificate at ``gc.at``, reusing the projections ``done`` there."""
-    s = gc.hyper.shape[0]
-    points = {**_project(gc, [j for j in range(s) if j not in done]), **done}
-    a_values = np.array([points[j][0] for j in range(s)])
-    return Certificate(point=gc.at, a_values=a_values, tol=tol, ray=ray)
+    gc = global_codiff(f, x)
+    return min_norm_point(gc.hypo + gc.hyper[j])[0]
 
 
 def _unbounded_ray(f: DCForm) -> np.ndarray | None:
@@ -189,12 +172,11 @@ def _unbounded_ray(f: DCForm) -> np.ndarray | None:
     every vertex ``g``, then ``f(x - t u)`` decreases at least linearly
     in ``t``; the first such piece gives ``-u / ||u||``.
     """
-    V, W = f.plus[:, 1:], f.minus[:, 1:]
-    for w, u in zip(W, min_norm_point(V, shifts=W)[0]):
-        G = V + w
-        # rounding of the sums in G and of the products G @ u
-        bound = (G.shape[1] + 2) * np.finfo(float).eps * (np.abs(G) @ np.abs(u))
-        if np.all(G @ u > bound):
+    G = f.plus[:, 1:] + f.minus[:, None, 1:]  # piece j's gradient hull is G[j]
+    for g, u in zip(G, min_norm_point(G)[0]):
+        # rounding of the sums in g and of the products g @ u
+        bound = (g.shape[1] + 2) * np.finfo(float).eps * (np.abs(g) @ np.abs(u))
+        if np.all(g @ u > bound):
             return -u / np.linalg.norm(u)
     return None
 
@@ -210,7 +192,8 @@ def check_global_opt(f: DCForm, x, tol: float | None = None) -> tuple[bool, Cert
     """
     gc = global_codiff(f, x)
     tol = _default_tol(gc.value, gc.hypo, gc.hyper, tol=tol)
-    cert = _certificate(gc, tol, {}, _unbounded_ray(f))
+    a_values = min_norm_point(gc.hypo + gc.hyper[:, None])[0][:, 0]
+    cert = Certificate(point=gc.at, a_values=a_values, tol=tol, ray=_unbounded_ray(f))
     return cert.is_global, cert
 
 
@@ -224,8 +207,8 @@ def check_inf_stationary(f: DCForm, x, tol: float | None = None) -> bool:
     """
     gc = global_codiff(f, x)
     tol = _default_tol(gc.value, gc.hypo, gc.hyper, tol=tol)
-    active = [j for j in range(gc.hyper.shape[0]) if gc.hyper[j, 0] <= tol]
-    return all(np.linalg.norm(p) <= tol for p in _project(gc, active).values())
+    points = min_norm_point(gc.hypo + gc.hyper[:, None])[0]
+    return all(np.linalg.norm(p) <= tol for p, z in zip(points, gc.hyper) if z[0] <= tol)
 
 
 @dataclass(frozen=True)
@@ -310,9 +293,11 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step)
     and ``tol`` is read through ``pa._default_tol`` there (checked or derived
     at ``x0``, then fixed), so the run on ``c * f`` is the run on ``f``.  A
     function that ``_unbounded_ray`` shows unbounded below ends it at ``x0``.
-    Otherwise each iterate gets a record and ``step(gc, rec, run, tol)``
-    sees it anchored in ``gc``; the step fills the record and returns the
-    next point, or None once it has set the run's status.  After
+    Otherwise each iterate gets a record, all s pieces are projected in
+    one call, and ``step(gc, points, rec, run, tol)`` sees it anchored in
+    ``gc``, with row j of ``points`` the minimum-norm element
+    ``(a_j, v_j)`` of ``H(x) + z_j(x)``; the step fills the record and
+    returns the next point, or None once it has set the run's status.  After
     ``max_iter`` steps the run ends with a bare record of the last point
     and status ``iter_limit``.
     """
@@ -329,7 +314,7 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step)
         run.records.append(rec)
         if run.ray is not None or n == max_iter:
             return run
-        x = step(gc, rec, run, tol)
+        x = step(gc, min_norm_point(gc.hypo + gc.hyper[:, None])[0], rec, run, tol)
         if x is None:
             return run
 
@@ -343,26 +328,27 @@ def mgcd_run(
     """Minimize a piecewise-affine function globally, without line search.
 
     A function unbounded below returns its ray before the first step.
-    Per iteration, every still-active min-part index is projected;
-    indices with ``a_j >= -tol`` are discarded permanently, and the step
-    ``x + v_j / a_j`` of the best remaining index is taken (ties to the
-    lowest index).  Once the active set is empty the run ends with
-    status ``global_min`` if the certificate at the final point holds,
-    and ``undecided`` otherwise.  A discarded index never becomes useful
-    again, which is what bounds the number of steps; ``run.discard_log``
-    records when each index went, so callers can check that property.
+    Per iteration, every piece is projected in one stacked call; the
+    still-active ones are read: indices with ``a_j >= -tol`` are discarded
+    permanently, and the step ``x + v_j / a_j`` of the best remaining index
+    is taken (ties to the lowest index).  Once the active set is empty
+    the run ends with status ``global_min`` if the certificate at the
+    final point holds, and ``undecided`` otherwise.  A discarded index
+    never becomes useful again, which is what bounds the number of steps;
+    ``run.discard_log`` records when each index went, so callers can check
+    that property.
     """
     active = list(range(f.minus.shape[0]))
 
-    def step(gc: GlobalCodiff, rec: IterationRecord, run: GlobalRun, tol: float):
-        rec.projections.update(_project(gc, active))
-        rec.discarded += [j for j in active if rec.projections[j][0] >= -tol]
+    def step(gc: GlobalCodiff, points: np.ndarray, rec: IterationRecord, run: GlobalRun, tol: float):
+        rec.projections = {j: points[j] for j in active}
+        rec.discarded += [j for j in active if points[j, 0] >= -tol]
         active[:] = [j for j in active if j not in rec.discarded]
         if not active:
-            run.certificate = _certificate(gc, tol, rec.projections)
+            run.certificate = Certificate(point=gc.at, a_values=points[:, 0], tol=tol)
             run.status = "global_min" if run.certificate.is_global else "undecided"
             return None
-        trials = {j: rec.x + rec.projections[j][1:] / rec.projections[j][0] for j in active}
+        trials = {j: rec.x + points[j, 1:] / points[j, 0] for j in active}
         values = {j: evaluate(f, y) for j, y in trials.items()}
         rec.chosen_j = min(values, key=values.get)
         return trials[rec.chosen_j]
@@ -395,14 +381,14 @@ def mcd_run(
         raise ValueError(f"mu must be >= 0 or inf, got {mu}")
     s = f.minus.shape[0]
 
-    def step(gc: GlobalCodiff, rec: IterationRecord, run: GlobalRun, tol: float):
+    def step(gc: GlobalCodiff, points: np.ndarray, rec: IterationRecord, run: GlobalRun, tol: float):
         cand = [j for j in range(s) if gc.hyper[j, 0] <= mu + tol]
-        rec.projections.update(_project(gc, cand))
-        descent = any(p[0] < -tol for p in rec.projections.values())
+        rec.projections = {j: points[j] for j in cand}
+        descent = any(points[j, 0] < -tol for j in cand)
         # every piece a candidate and none descending certifies x as it stands
         searches = {}
         for j in cand if descent or len(cand) < s else []:
-            vj = rec.projections[j][1:]
+            vj = points[j, 1:]
             if np.linalg.norm(vj) > tol:  # a shorter v_j is rounding, not a direction
                 searches[j] = line_search_pa(f, rec.x, vj)
                 if searches[j].unbounded:
@@ -412,10 +398,10 @@ def mcd_run(
 
         best = min(searches, key=lambda j: searches[j].value, default=None)
         if best is None or searches[best].value >= rec.f - tol:
-            run.certificate = _certificate(gc, tol, rec.projections)
+            run.certificate = Certificate(point=gc.at, a_values=points[:, 0], tol=tol)
             run.status = "global_min" if run.certificate.is_global else "inf_stationary"
             return None
         rec.chosen_j, rec.alpha = best, searches[best].alpha
-        return rec.x - rec.alpha * rec.projections[best][1:]
+        return rec.x - rec.alpha * points[best, 1:]
 
     return _descend("mcd", f, x0, tol, max_iter, step)

@@ -13,15 +13,15 @@ differences of its vertices, not on their Gram matrix.  The solver has
 no tolerance to set: it stops at the float resolution of its scores,
 which is relative to the hull.
 
-``min_norm_point(vertices, shifts=Z)`` projects the translates
-``conv(vertices) + Z[b]``, as MGCD and MCD do at every iterate.  From
-``STACK_MIN`` of them on, one lockstep loop makes each pass's minor
-cycles as one batched solve (normal equations of the differences and
-one step of residual refinement) and its major cycles as one batched
-product on the shifted rows, so numpy's per-call overhead is paid per
-pass, not per hull.  A translate whose norm stops decreasing there, and
-every translate of a stack whose Gram matrix is singular or overflows,
-is projected by the hull-by-hull loop, which smaller stacks always take.
+Given a stack ``(B, m, k)`` of hulls, ``min_norm_point`` projects each,
+as MGCD and MCD do with the s translates ``H(x) + z_j(x)`` at every
+iterate.  From ``STACK_MIN`` hulls on, one lockstep loop makes each
+pass's minor cycles as one batched solve (normal equations of the
+differences and one step of residual refinement) and its major cycles as
+one batched product on the rows, so numpy's per-call overhead is paid per
+pass, not per hull.  A hull whose norm stops decreasing there, and every
+hull of a stack whose Gram matrix is singular or overflows, is projected
+by the hull-by-hull loop, which smaller stacks always take.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ STACK_MIN = 8
 _RESOLUTION = 64 * np.finfo(float).eps
 
 
-def min_norm_point(
-    vertices: np.ndarray, start: np.ndarray | None = None, shifts: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def min_norm_point(vertices: np.ndarray, start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``min ||p||^2`` over ``p`` in the convex hull of ``vertices``.
 
     The first corral is the support of ``start`` with renormalised
@@ -66,17 +64,16 @@ def min_norm_point(
 
     Parameters
     ----------
-    vertices : array, shape (m, k)
+    vertices : array, shape (m, k) or (B, m, k)
         Rows are the hull vertices.  Redundant (interior or duplicate)
-        rows are tolerated.
+        rows are tolerated.  A stack of B hulls projects each
+        ``vertices[b]`` by the rules above, with its own floor, stall
+        rule and cycle cap; the point and weights then gain a leading
+        axis of length B.
     start : array, shape (m,), optional
         Nonnegative weights with a finite positive sum, such as the
         ``weights`` of a projection onto a nearby hull (else ValueError).
-    shifts : array, shape (B, k), optional
-        Project every translate ``conv(vertices) + shifts[b]`` instead,
-        each by the rules above with its own floor, stall rule and cycle
-        cap; the point and weights then gain a leading axis of length B.
-        Not combined with ``start``.
+        Not taken with a stack.
 
     Returns
     -------
@@ -96,22 +93,20 @@ def min_norm_point(
         After ``MAX_CYCLES_PER_VERTEX * m`` cycles.
     """
     P = np.asarray(vertices, dtype=float)
-    if P.ndim != 2 or P.shape[0] == 0:
-        raise ValueError("vertices must be a nonempty (m, k) array")
-    if shifts is not None:
-        Z = np.asarray(shifts, dtype=float)
-        if Z.ndim != 2 or Z.shape[1] != P.shape[1] or start is not None:
-            raise ValueError("shifts must be a (B, k) array, and start is then not taken")
-        points, weights, alone = np.empty(Z.shape), np.empty((len(Z), len(P))), range(len(Z))
-        if len(Z) >= STACK_MIN:
+    if P.ndim not in (2, 3) or P.shape[-2] == 0 or (P.ndim == 3 and start is not None):
+        raise ValueError("vertices must be a nonempty (m, k) hull or a (B, m, k) stack without start")
+    if P.ndim == 3:
+        B, m, k = P.shape
+        points, weights, alone = np.empty((B, k)), np.empty((B, m)), range(B)
+        if B >= STACK_MIN:
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    points, weights, stalled = _lockstep(P, Z)
+                    points, weights, stalled = _lockstep(P)
                 alone = np.flatnonzero(stalled)
             except (np.linalg.LinAlgError, FloatingPointError):
                 pass  # a singular or overflowing Gram matrix: lstsq copes with it
         for b in alone:
-            points[b], weights[b] = min_norm_point(P + Z[b])
+            points[b], weights[b] = min_norm_point(P[b])
         return points, weights
     sq = np.einsum("ij,ij->i", P, P)
     if not np.isfinite(sq).all():
@@ -181,8 +176,8 @@ def min_norm_point(
     return x, np.bincount(corral, lam, minlength=m)
 
 
-def _lockstep(V: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``min_norm_point(V + Z[b])`` for every b, in one loop.
+def _lockstep(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``min_norm_point(P[b])`` for every hull b of the stack, in one loop.
 
     Each pass makes one minor cycle on every hull whose corral needs one
     and one major cycle on every other unfinished hull, by the rules of
@@ -192,7 +187,6 @@ def _lockstep(V: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     corral is ``C[b, :n[b]]`` with weights ``L[b, :n[b]]``; later slots
     weigh zero.  A singular Gram matrix raises ``LinAlgError``.
     """
-    P = V + Z[:, None]  # hull b is P[b]: norms, scores and corrals are read off its rows
     sq = np.einsum("bij,bij->bi", P, P)
     if not np.isfinite(sq).all():
         raise NonFinite("vertex set has non-finite entries or squared norms")

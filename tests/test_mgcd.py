@@ -29,7 +29,7 @@ from codescent import (
     theta_lower_bound,
     worked_example,
 )
-from codescent import mgcd
+from codescent import mgcd, minnorm
 from codescent.mgcd import LineSearchResult
 from conftest import discard_violations, explicit_step_value, instance_grid
 
@@ -628,6 +628,42 @@ def test_mgcd_certificate_matches_check_global_opt():
         run = mgcd_run(f, random_start(seed, d))
         _, cert = check_global_opt(f, run.final_x)
         assert np.allclose(run.certificate.a_values, cert.a_values, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("method", [mgcd_run, mcd_run])
+@pytest.mark.parametrize("d, l, s", [(6, 40, 8), (10, 80, 20)])
+def test_run_certificate_is_check_global_opts(d, l, s, method):
+    # from STACK_MIN pieces on the lockstep loop projects them; the run's
+    # last anchor and check_global_opt project the same stack in one call
+    assert s >= minnorm.STACK_MIN
+    f = generate_pa(0, d, l, s)
+    run = method(f, random_start(0, d))
+    assert run.status == "global_min"
+    assert np.array_equal(run.certificate.a_values, check_global_opt(f, run.final_x)[1].a_values)
+
+
+def test_one_projection_call_per_anchor(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return minnorm.min_norm_point(*args, **kwargs)
+
+    monkeypatch.setattr(mgcd, "min_norm_point", counted)
+    f = worked_example()
+    for method in (mgcd_run, mcd_run):
+        calls.clear()
+        run = method(f, X0)
+        # the ray check, then one call at (2, 2) and one at the minimum
+        assert run.status == "global_min" and run.n_steps == 1
+        assert len(calls) == 3
+    calls.clear()
+    check_global_opt(f, X0)
+    assert len(calls) == 2
+    for method in (mgcd_run, mcd_run):
+        calls.clear()
+        assert method(LINE, [0.0]).status == "unbounded_below"
+        assert len(calls) == 1
 
 
 def test_mcd_inf_stationary_certificate_matches_check_global_opt():

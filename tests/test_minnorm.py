@@ -191,7 +191,7 @@ def test_iteration_cap_raises(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# stacked projections: min_norm_point(vertices, shifts=Z)
+# stacked projections: min_norm_point of a (B, m, k) stack, such as V + Z[:, None]
 
 
 def _floor(P):
@@ -234,7 +234,7 @@ def test_stacked_matches_per_hull(V, Z, kinds, e):
     V, Z = 10.0**e * V, 10.0**e * Z
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minnorm, "STACK_MIN", 1)  # the lockstep loop from B = 1
-        points, weights = min_norm_point(V, shifts=Z)
+        points, weights = min_norm_point(V + Z[:, None])
     assert points.shape == (B, k) and weights.shape == (B, m)
     for b in range(B):
         P = V + Z[b]
@@ -266,8 +266,8 @@ def test_stall_keeps_the_point_before(stacked):
         # every zero-shifted translate stalls in the lockstep loop and is
         # handed to the per-hull loop, which stalls the same way
         Z = np.zeros((minnorm.STACK_MIN, P.shape[1]))
-        assert minnorm._lockstep(P, Z)[2].all()
-        points, weights = min_norm_point(P, shifts=Z)
+        assert minnorm._lockstep(P + Z[:, None])[2].all()
+        points, weights = min_norm_point(P + Z[:, None])
     else:
         points, weights = (a[None] for a in min_norm_point(P))
     for p, w in zip(points, weights):
@@ -280,23 +280,22 @@ def test_stacked_below_cut_over_is_the_per_hull_loop(rng):
     from codescent import minnorm
 
     V, Z = rng.normal(size=(9, 4)), rng.normal(size=(minnorm.STACK_MIN - 1, 4))
-    points, weights = min_norm_point(V, shifts=Z)
+    points, weights = min_norm_point(V + Z[:, None])
     for b, z in enumerate(Z):
         p, w = min_norm_point(V + z)
         assert points[b].tobytes() == p.tobytes() and weights[b].tobytes() == w.tobytes()
-    empty = min_norm_point(V, shifts=np.zeros((0, 4)))
+    empty = min_norm_point(V + np.zeros((0, 4))[:, None])
     assert empty[0].shape == (0, 4) and empty[1].shape == (0, 9)
 
 
 @pytest.mark.parametrize(
-    "shifts, start",
-    [(np.ones(3), None), (np.ones((8, 2)), None), (np.ones((8, 3)), np.ones(3))],
-    ids=["one-dimensional", "wrong-width", "with-start"],
+    "stack, start",
+    [(np.ones((8, 3, 3)), np.ones(3)), (np.ones((8, 0, 3)), None), (np.ones((2, 8, 3, 3)), None)],
+    ids=["with-start", "no-vertices", "four-dimensional"],
 )
-def test_malformed_shifts_rejected(shifts, start):
-    P = np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]])
+def test_malformed_stacks_rejected(stack, start):
     with pytest.raises(ValueError):
-        min_norm_point(P, start, shifts=shifts)
+        min_norm_point(stack, start)
 
 
 def test_stacked_overflowing_shift_raises():
@@ -306,7 +305,7 @@ def test_stacked_overflowing_shift_raises():
     Z = np.zeros((minnorm.STACK_MIN, 2))
     Z[5] = [1e155, 0.0]  # one translate whose squared norms overflow
     with pytest.raises(NonFinite):
-        min_norm_point(V, shifts=Z)
+        min_norm_point(V + Z[:, None])
 
 
 def test_stacked_gram_overflow_projects_hull_by_hull():
@@ -318,7 +317,7 @@ def test_stacked_gram_overflow_projects_hull_by_hull():
     V = a * np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, -1.0]])
     Z = np.zeros((minnorm.STACK_MIN, 2))
     Z[:, 1] = a * np.linspace(-0.1, 0.1, minnorm.STACK_MIN)
-    points, weights = min_norm_point(V, shifts=Z)
+    points, weights = min_norm_point(V + Z[:, None])
     for b, z in enumerate(Z):
         p, w = min_norm_point(V + z)
         assert points[b].tobytes() == p.tobytes() and weights[b].tobytes() == w.tobytes()
@@ -332,13 +331,15 @@ def test_stacked_iteration_cap_raises(monkeypatch):
     Z = np.linspace(-1.0, 1.0, 2 * minnorm.STACK_MIN).reshape(-1, 2)
     monkeypatch.setattr(minnorm, "MAX_CYCLES_PER_VERTEX", 0)
     with pytest.raises(NoConvergence):
-        min_norm_point(V, shifts=Z)
+        min_norm_point(V + Z[:, None])
 
 
 def test_stacked_random_stacks():
     """Criterion 8 for stacked projections: about 500 random stacks of
     ``STACK_MIN`` or more translates, each translate ending on its own stop
-    floor with Wolfe residual at most 1e-8, and bitwise repeatable."""
+    floor with Wolfe residual at most 1e-8, and bitwise repeatable; then
+    stacks of unrelated hulls on both sides of ``STACK_MIN``, each point
+    within its hull's stop floor of that hull's own projection."""
     from codescent import minnorm
 
     rng = np.random.default_rng(808)
@@ -349,7 +350,7 @@ def test_stacked_random_stacks():
         B = int(rng.integers(minnorm.STACK_MIN, 3 * minnorm.STACK_MIN))
         c = float(rng.choice([0.3, 1.0, 4.0]))
         V, Z = rng.normal(size=(m, k)) * c, rng.normal(size=(B, k)) * c
-        points, weights = min_norm_point(V, shifts=Z)
+        points, weights = min_norm_point(V + Z[:, None])
         for b in range(B):
             res = wolfe_residual(V + Z[b], points[b])
             assert res <= min(1e-8, _floor(V + Z[b]))
@@ -357,6 +358,20 @@ def test_stacked_random_stacks():
         assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12 and weights.min() >= 0
         assert np.abs(np.einsum("bm,bmk->bk", weights, V + Z[:, None]) - points).max() <= 1e-9 * c
         if i % 100 == 0:
-            again = min_norm_point(V.copy(), shifts=Z.copy())
+            again = min_norm_point(V + Z[:, None])
             assert again[0].tobytes() == points.tobytes() and again[1].tobytes() == weights.tobytes()
     assert worst <= 1e-8
+
+    for i in range(200):
+        m = int(rng.integers(1, 4)) if i % 4 == 0 else int(rng.integers(1, 65))
+        k, B = int(rng.integers(2, 12)), int(rng.integers(1, 3 * minnorm.STACK_MIN))
+        P = rng.normal(size=(B, m, k)) * rng.choice([0.3, 1.0, 4.0], size=(B, 1, 1))
+        points, weights = min_norm_point(P)
+        assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12 and weights.min() >= 0
+        assert np.abs(np.einsum("bm,bmk->bk", weights, P) - points).max() <= 1e-9 * np.abs(P).max()
+        for b in range(B):
+            alone, _ = min_norm_point(P[b])
+            assert wolfe_residual(P[b], points[b]) <= _floor(P[b])
+            # both residuals are at most the floor, and a residual r bounds
+            # the squared distance to the minimum-norm point
+            assert np.linalg.norm(points[b] - alone) <= 2 * np.sqrt(_floor(P[b]))
