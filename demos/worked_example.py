@@ -18,7 +18,6 @@ from codescent import (
     check_inf_stationary,
     evaluate,
     global_codiff,
-    hyper_grad,
     mgcd_run,
     pa_global_min,
     project_piece,
@@ -47,7 +46,7 @@ print("\ninf-stationary at (2,2)?", check_inf_stationary(f, x0))
 print("\nper-piece projections at (2,2):")
 for j in range(8):
     a, *v = project_piece(f, x0, j)
-    print(f"  piece {j}: z = {hyper_grad(f, x0, j)},  a_j = {a: .4f}, v_j = {np.array(v)}")
+    print(f"  piece {j}: z = {gc.hyper[j]},  a_j = {a: .4f}, v_j = {np.array(v)}")
 
 is_global, cert = check_global_opt(f, x0)
 print("\nglobally optimal at (2,2)?", is_global)

@@ -36,7 +36,6 @@ from .mgcd import (
     GlobalRun,
     check_global_opt,
     check_inf_stationary,
-    hyper_grad,
     line_search_pa,
     mcd_run,
     mgcd_run,
@@ -118,7 +117,6 @@ __all__ = [
     "expr_to_dc",
     "generate_pa",
     "global_codiff",
-    "hyper_grad",
     "line_search_pa",
     "linear",
     "max_quadratics",

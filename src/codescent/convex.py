@@ -55,15 +55,12 @@ class ConvexFn:
 class SmoothConvex(ConvexFn):
     """Differentiable convex atom given by a value-and-gradient callback.
 
-    ``fn(x)`` must return ``(value, gradient)``; ``lipschitz_grad`` is
-    the Lipschitz constant of the gradient (used only by checkers and
-    rate instrumentation, not by the calculus itself).
+    ``fn(x)`` must return ``(value, gradient)``.
     """
 
-    def __init__(self, d: int, fn: Callable, lipschitz_grad: float = 0.0):
+    def __init__(self, d: int, fn: Callable):
         self.d = d
         self.fn = fn
-        self.lipschitz_grad = float(lipschitz_grad)
 
     def value(self, x):
         return float(self.fn(x)[0])
@@ -90,7 +87,8 @@ class Quadratic(SmoothConvex):
     """Convex quadratic ``0.5 x'Hx + b'x + c`` with its exact gradient.
 
     Keeps read-only ``b``, ``c`` and the symmetric part of ``H`` (the same
-    function); ``lipschitz_grad`` is its largest eigenvalue.  Raises
+    function); ``lipschitz_grad``, the Lipschitz constant of its gradient,
+    is its largest eigenvalue.  Raises
     ``DimensionMismatch`` unless ``H`` is d x d for the d entries of ``b``,
     and ``ValueError`` if ``H`` is not convex beyond rounding (an eigenvalue
     below ``-d * eps * max |eigenvalue|``).
@@ -302,4 +300,4 @@ def linear(v: np.ndarray, a: float = 0.0) -> SmoothConvex:
     def fn(x):
         return a + v @ x, v
 
-    return SmoothConvex(v.size, fn, lipschitz_grad=0.0)
+    return SmoothConvex(v.size, fn)

@@ -26,11 +26,11 @@ in O((l + s) log(l + s)) time and O(l + s) memory.
 Both are one loop, ``_descend``, with two step rules.  It anchors each
 iterate, value included, with ``global_codiff`` and projects all s
 pieces there in one ``min_norm_point`` call on the stack of translates
-``H(x) + z_j(x)``; the step reads the pieces it needs from that array,
-and the final certificate reads every piece's offset from it, as
-``check_global_opt`` does.  ``_unbounded_ray`` projects the s gradient
-hulls ``conv{v_i + w_j}`` the same way, in one call.  Both runs
-serialize to JSON and CSV.
+``H(x) + z_j(x)``; a step reads the pieces it needs from that array and
+only steps, and ``_descend`` alone reads the final certificate off it, as
+``check_global_opt`` does, and sets the run's status.  ``_unbounded_ray``
+projects the s gradient hulls ``conv{v_i + w_j}`` the same way, in one
+call.  Both runs serialize to JSON and CSV.
 
 No threshold is absolute: every "is this zero?" reads against one
 ``tol``, checked or by default set to ``1e-9`` times the data scale by
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .minnorm import min_norm_point
-from .pa import DCForm, GlobalCodiff, _csv_text, _default_tol, _record_dict, evaluate, global_codiff
+from .pa import DCForm, GlobalCodiff, _check_point, _csv_text, _default_tol, _record_dict, evaluate, global_codiff
 
 
 @dataclass(frozen=True)
@@ -137,16 +137,6 @@ class GlobalRun:
 
 # ---------------------------------------------------------------------------
 # pointwise primitives
-
-
-def hyper_grad(f: DCForm, x, j: int) -> np.ndarray:
-    """Hyperdifferential vertex ``z_j(x) = (b_j - min_part(x) + <w_j, x>, w_j)``.
-
-    Its offset is nonnegative and vanishes exactly on the active
-    min-part indices.
-    """
-    _check_index(f, j)
-    return global_codiff(f, x).hyper[j].copy()
 
 
 def _check_index(f: DCForm, j: int) -> None:
@@ -258,8 +248,12 @@ def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
     recession slope is negative, in which case the ray is a certificate
     of unboundedness.  Ties are resolved toward the smallest ``alpha``.
     Slope thresholds are relative to the largest slope along ``direction``.
+    Raises ``DimensionMismatch`` for an ``x`` of the wrong length, and
+    ``NonFinite`` for a non-finite ``x`` or ``direction`` or ``f(x)``.
     """
-    x, direction = np.asarray(x, dtype=float), np.asarray(direction, dtype=float)
+    x, direction = _check_point(f.d, x), np.asarray(direction, dtype=float)
+    if not np.isfinite(x).all():
+        raise NonFinite("point is not finite")
     if not np.isfinite(direction).all():
         raise NonFinite("direction is not finite")
     if not direction.any():
@@ -277,6 +271,8 @@ def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
     (upper, up_breaks), (lower, low_breaks) = _envelope(p, -q, gap), _envelope(-r, t, gap)
     cand = sorted([0.0, *up_breaks, *low_breaks])
     vals = np.subtract(_on_envelope(upper, cand), _on_envelope(lower, cand))
+    if not np.isfinite(vals[0]):
+        raise NonFinite("f is not finite at this point")
     best = int(np.argmin(vals))
     return LineSearchResult(alpha=float(cand[best]), value=float(vals[best]))
 
@@ -285,8 +281,9 @@ def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
 # descent runs
 
 
-def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step) -> GlobalRun:
-    """The descent loop shared by both methods.
+def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step, stall: str) -> GlobalRun:
+    """The descent loop shared by both methods, and the only place that sets
+    a run's certificate and status.
 
     Each iterate, ``x0`` included, is anchored first (a point where ``f``
     overflows raises ``NonFinite``); its record's ``f`` is ``gc.value``,
@@ -297,26 +294,31 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step)
     one call, and ``step(gc, points, rec, run, tol)`` sees it anchored in
     ``gc``, with row j of ``points`` the minimum-norm element
     ``(a_j, v_j)`` of ``H(x) + z_j(x)``; the step fills the record and
-    returns the next point, or None once it has set the run's status.  After
-    ``max_iter`` steps the run ends with a bare record of the last point
-    and status ``iter_limit``.
+    returns the next point, or None to stop, having set ``run.ray`` if its
+    line search found one; a stop without a ray reads the certificate off
+    ``points``.  The status is ``unbounded_below`` with a ray, ``iter_limit``
+    with no certificate (after ``max_iter`` steps), ``global_min`` when the
+    certificate holds and ``stall`` otherwise.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     x = np.array(x0, dtype=float, ndmin=1)
     run = GlobalRun(method=method, ray=_unbounded_ray(f))
-    if run.ray is not None:
-        run.status = "unbounded_below"
     for n in range(max_iter + 1):
         gc = global_codiff(f, x)
         tol = _default_tol(gc.value, gc.hypo, gc.hyper, tol=tol)
         rec = IterationRecord(n=n, x=x, f=gc.value)
         run.records.append(rec)
         if run.ray is not None or n == max_iter:
-            return run
-        x = step(gc, min_norm_point(gc.hypo + gc.hyper[:, None])[0], rec, run, tol)
-        if x is None:
-            return run
+            break
+        points = min_norm_point(gc.hypo + gc.hyper[:, None])[0]
+        if (x := step(gc, points, rec, run, tol)) is None:
+            if run.ray is None:
+                run.certificate = Certificate(point=gc.at, a_values=points[:, 0], tol=tol)
+            break
+    run.status = ("unbounded_below" if run.ray is not None else "iter_limit" if run.certificate is None
+                  else "global_min" if run.certificate.is_global else stall)
+    return run
 
 
 def mgcd_run(
@@ -345,15 +347,13 @@ def mgcd_run(
         rec.discarded += [j for j in active if points[j, 0] >= -tol]
         active[:] = [j for j in active if j not in rec.discarded]
         if not active:
-            run.certificate = Certificate(point=gc.at, a_values=points[:, 0], tol=tol)
-            run.status = "global_min" if run.certificate.is_global else "undecided"
             return None
         trials = {j: rec.x + points[j, 1:] / points[j, 0] for j in active}
         values = {j: evaluate(f, y) for j, y in trials.items()}
         rec.chosen_j = min(values, key=values.get)
         return trials[rec.chosen_j]
 
-    return _descend("mgcd", f, x0, tol, max_iter, step)
+    return _descend("mgcd", f, x0, tol, max_iter, step, "undecided")
 
 
 def mcd_run(
@@ -392,16 +392,13 @@ def mcd_run(
             if np.linalg.norm(vj) > tol:  # a shorter v_j is rounding, not a direction
                 searches[j] = line_search_pa(f, rec.x, vj)
                 if searches[j].unbounded:
-                    run.status = "unbounded_below"
                     run.ray = -vj / np.linalg.norm(vj)
                     return None
 
         best = min(searches, key=lambda j: searches[j].value, default=None)
         if best is None or searches[best].value >= rec.f - tol:
-            run.certificate = Certificate(point=gc.at, a_values=points[:, 0], tol=tol)
-            run.status = "global_min" if run.certificate.is_global else "inf_stationary"
             return None
         rec.chosen_j, rec.alpha = best, searches[best].alpha
         return rec.x - rec.alpha * points[best, 1:]
 
-    return _descend("mcd", f, x0, tol, max_iter, step)
+    return _descend("mcd", f, x0, tol, max_iter, step, "inf_stationary")

@@ -179,7 +179,8 @@ class DCForm:
 
 @dataclass(frozen=True)
 class GlobalCodiff:
-    """Exact two-polytope model of a :class:`DCForm` anchored at a point.
+    """Exact two-polytope model of a :class:`DCForm` anchored at a point,
+    built only by :func:`global_codiff`, with read-only arrays.
 
     ``hypo`` rows are ``(a_i - max_part(x) + <v_i, x>, v_i)`` and
     ``hyper`` rows are ``(b_j - min_part(x) + <w_j, x>, w_j)``; row order
@@ -191,15 +192,6 @@ class GlobalCodiff:
     value: float
     hypo: np.ndarray
     hyper: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "at", _freeze(np.atleast_1d(self.at)))
-        object.__setattr__(self, "hypo", _freeze(np.atleast_2d(self.hypo)))
-        object.__setattr__(self, "hyper", _freeze(np.atleast_2d(self.hyper)))
-        if not (self.hypo[:, 0].max() == 0 == self.hyper[:, 0].min() and np.isfinite(self.value)):
-            if not all(np.isfinite(a).all() for a in (self.value, self.hypo, self.hyper)):
-                raise NonFinite("codifferential is not finite at this point")
-            raise ValueError("codifferential offsets are not normalized")
 
     def expansion(self, dx: np.ndarray) -> float:
         """Exact increment ``f(at + dx) - f(at)`` predicted by the model."""
@@ -231,14 +223,18 @@ def evaluate(f: DCForm, x):
 
 def global_codiff(f: DCForm, x) -> GlobalCodiff:
     """Anchor the exact codifferential model of ``f`` at ``x``; its offsets
-    are formed as ``evaluate`` forms them, so ``value == evaluate(f, x)``."""
+    are formed as ``evaluate`` forms them, so ``value == evaluate(f, x)``.
+    Raises ``NonFinite`` where that value overflows."""
     x = _check_point(f.d, x)
     lo = f.plus[:, 0] + x @ f.plus[:, 1:].T
     hi = f.minus[:, 0] + x @ f.minus[:, 1:].T
     top, bottom = lo.max(), hi.min()
+    if not np.isfinite(top + bottom):
+        raise NonFinite("codifferential is not finite at this point")
     hypo, hyper = f.plus.copy(), f.minus.copy()
     hypo[:, 0], hyper[:, 0] = lo - top, hi - bottom
-    return GlobalCodiff(at=x, value=float(top + bottom), hypo=hypo, hyper=hyper)
+    hypo.flags.writeable = hyper.flags.writeable = False
+    return GlobalCodiff(at=_freeze(x), value=float(top + bottom), hypo=hypo, hyper=hyper)
 
 
 def translate(f: DCForm, gc: GlobalCodiff, y) -> GlobalCodiff:

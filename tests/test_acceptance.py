@@ -18,7 +18,6 @@ from codescent import (
     expr_to_dc,
     generate_pa,
     global_codiff,
-    hyper_grad,
     max_quadratics,
     mcd_run,
     mgcd_run,
@@ -76,7 +75,7 @@ def test_criterion_1_worked_example_reproduction():
     assert exact_int_set(gc.hypo) == WORKED_EXAMPLE_HYPO         # (i) 16-vertex set
     assert exact_int_set(gc.hyper) == WORKED_EXAMPLE_HYPER       # (i) 8-vertex set
 
-    z1 = hyper_grad(f, x0, 0)                            # (ii)
+    z1 = gc.hyper[0]                                     # (ii)
     assert np.array_equal(z1, np.array([1.0, 2.0, 0.0]))
 
     proj = project_piece(f, x0, 0)                       # (iii)

@@ -167,7 +167,7 @@ def test_stacked_quadratics_match_per_child(seed, k, d, data_exp, x_exp):
     stacked = MaxOf(quads)
     # one non-Quadratic child keeps the whole max on the per-child path
     last = quads[-1]
-    mixed = MaxOf(quads[:-1] + [SmoothConvex(d, last.fn, last.lipschitz_grad)])
+    mixed = MaxOf(quads[:-1] + [SmoothConvex(d, last.fn)])
     x = 2.0**x_exp * r.normal(size=d)
 
     fx, H = stacked.value_and_hypodiff(x)
@@ -325,7 +325,7 @@ def test_amenability_preserved_by_composition(rng):
 def test_checkers_scale_free(k):
     # the default tol follows the data: scaling f by 2**k keeps both verdicts,
     # for a correct quadratic and for one whose gradient is off by 1
-    broken = SmoothConvex(1, lambda x: (x @ x, 2 * x + 1), lipschitz_grad=2.0)
+    broken = SmoothConvex(1, lambda x: (x @ x, 2 * x + 1))
     pts = grid(-2, 2, 21, 1)
     pairs = [(x, y) for x in pts for y in pts]
     for f, ok in ((x_squared(), True), (broken, False)):

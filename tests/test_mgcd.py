@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from codescent import (
     DCForm,
+    DimensionMismatch,
     NonFinite,
     Quadratic,
     check_amenable,
@@ -19,7 +20,6 @@ from codescent import (
     evaluate,
     generate_pa,
     global_codiff,
-    hyper_grad,
     line_search_pa,
     mcd_run,
     mgcd_run,
@@ -46,20 +46,18 @@ LINE = DCForm(1, np.array([[0.0, 1.0]]), np.array([[0.0, 0.0]]))  # f(x) = x
 
 def test_hyper_grad_showcase():
     f = worked_example()
-    assert np.allclose(hyper_grad(f, X0, 0), [1.0, 2.0, 0.0], atol=1e-12)
-    # an index attaining the min part has offset zero
     gc = global_codiff(f, X0)
+    assert np.allclose(gc.hyper[0], [1.0, 2.0, 0.0], atol=1e-12)
+    # an index attaining the min part has offset zero
     j_active = int(np.argmin(f.minus[:, 0] + f.minus[:, 1:] @ X0))
-    assert hyper_grad(f, X0, j_active)[0] == pytest.approx(0.0, abs=1e-12)
+    assert gc.hyper[j_active, 0] == pytest.approx(0.0, abs=1e-12)
     assert (gc.hyper[:, 0] >= -1e-12).all()
-    with pytest.raises(IndexError):
-        hyper_grad(f, X0, 8)
 
 
 def test_hyper_grad_trivial_min_part(rng):
     for _ in range(5):
         x = rng.normal(size=1) * 3
-        assert np.allclose(hyper_grad(ABS_X, x, 0), [0.0, 0.0])
+        assert np.allclose(global_codiff(ABS_X, x).hyper[0], [0.0, 0.0])
 
 
 def test_project_piece_showcase():
@@ -237,6 +235,18 @@ def test_line_search_direction_checks():
     for bad in (np.nan, np.inf):
         with pytest.raises(NonFinite):
             line_search_pa(LINE, [0.0], [bad])
+
+
+def test_line_search_point_checks():
+    f = worked_example()
+    with pytest.raises(DimensionMismatch):
+        line_search_pa(f, [2.0, 2.0, 2.0], [1.0, 0.0])
+    for bad in ([np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(NonFinite, match="point is not finite"):
+            line_search_pa(f, bad, [1.0, 0.0])
+    # a finite x where f(x) = phi(0) overflows
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite, match="not finite"):
+        line_search_pa(f, [1e308, 1e308], [1.0, 0.0])
 
 
 def test_line_search_single_rows():
@@ -552,6 +562,32 @@ def test_mgcd_iter_limit_status():
     f = worked_example()
     run = mgcd_run(f, X0, max_iter=0)
     assert run.status == "iter_limit"
+
+
+STATUS_RUNS = {
+    "global_min": [(mgcd_run, worked_example(), X0, {}), (mcd_run, worked_example(), X0, {})],
+    "undecided": [(mgcd_run, generate_pa(205056, 4, 10, 4), random_start(205056, 4), {"tol": 1.0})],
+    "inf_stationary": [(mcd_run, worked_example(), X0, {"tol": 0.0})],
+    "unbounded_below": [(m, MIN_ZERO_SHIFTED_LINE, [0.0], {}) for m in (mgcd_run, mcd_run)],
+    "iter_limit": [(m, worked_example(), X0, {"max_iter": 0}) for m in (mgcd_run, mcd_run)],
+}
+
+
+@pytest.mark.parametrize("status", STATUS_RUNS)
+def test_status_contract(status):
+    # each status comes with exactly the certificate and ray its row promises
+    for method, f, x0, kwargs in STATUS_RUNS[status]:
+        run = method(f, x0, **kwargs)
+        assert run.status == status
+        cert = run.certificate
+        if status == "unbounded_below":
+            assert cert is None and np.linalg.norm(run.ray) == pytest.approx(1.0)
+        elif status == "iter_limit":
+            assert cert is None and run.ray is None and run.n_steps == kwargs["max_iter"]
+        else:
+            assert run.ray is None and cert.ray is None
+            assert cert.is_global == (status == "global_min")
+            assert np.array_equal(cert.point, run.final_x)
 
 
 # ---------------------------------------------------------------------------

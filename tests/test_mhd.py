@@ -241,7 +241,7 @@ def test_one_callback_per_child_per_iterate():
     def counting(inner):
         return lambda x: calls.append(1) or inner(x)
 
-    generic = MaxOf([SmoothConvex(q.d, counting(q.fn), q.lipschitz_grad) for q in fn.children])
+    generic = MaxOf([SmoothConvex(q.d, counting(q.fn)) for q in fn.children])
     trace = mhd_run(generic, x0, MHDConfig(max_iter=40))
     k = len(fn.children)
     trials = sum(s.k + 1 for s in trace.steps if s.k is not None)

@@ -97,6 +97,20 @@ def test_global_codiff_showcase_vertex_sets():
     assert as_int_set(gc.hyper) == WORKED_EXAMPLE_HYPER
 
 
+def test_global_codiff_record():
+    # the anchor's arrays are read-only, and its point is its own copy
+    f = worked_example()
+    x = np.array([2.0, 2.0])
+    gc = global_codiff(f, x)
+    for a in (gc.at, gc.hypo, gc.hyper):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    x[0] = 5.0
+    assert np.array_equal(gc.at, [2.0, 2.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite, match="not finite"):
+        global_codiff(f, [1e308, 1e308])
+
+
 def test_global_codiff_single_affine():
     f = codiff_affine(3.0, np.array([2.0]), "hypo")
     for x in ([0.0], [7.0], [-4.0]):
