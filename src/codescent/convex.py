@@ -90,7 +90,8 @@ class Quadratic(SmoothConvex):
     function); ``lipschitz_grad``, the Lipschitz constant of its gradient,
     is its largest eigenvalue.  Raises
     ``DimensionMismatch`` unless ``H`` is d x d for the d entries of ``b``,
-    and ``ValueError`` if ``H`` is not convex beyond rounding (an eigenvalue
+    ``NonFinite`` for a non-finite entry of ``H``, ``b`` or ``c``, and
+    ``ValueError`` if ``H`` is not convex beyond rounding (an eigenvalue
     below ``-d * eps * max |eigenvalue|``).
     """
 
@@ -101,6 +102,8 @@ class Quadratic(SmoothConvex):
             raise DimensionMismatch(f"H must be ({self.d}, {self.d}) like b, got {H.shape}")
         self.H = 0.5 * (H + H.T)  # the same f; bit-identical for a symmetric H
         self.H.flags.writeable = self.b.flags.writeable = False
+        if not (np.isfinite(self.H).all() and np.isfinite(self.b).all() and np.isfinite(self.c)):
+            raise NonFinite("quadratic has non-finite data")
         eig = np.linalg.eigvalsh(self.H)
         if eig[0] < -self.d * np.finfo(float).eps * max(-eig[0], eig[-1]):  # eig ascends
             raise ValueError(f"H is not positive semidefinite: eigenvalue {eig[0]:.3g}")
@@ -111,12 +114,15 @@ class Quadratic(SmoothConvex):
 
 
 class ConvexCombination(ConvexFn):
-    """Nonnegative weighted sum of convex functions."""
+    """Nonnegative weighted sum of convex functions; raises ``NonFinite`` for
+    a NaN or infinite weight and ``ValueError`` for a negative one."""
 
     def __init__(self, terms: Sequence[tuple[float, ConvexFn]]):
         if not terms:
             raise ValueError("need at least one term")
         self.terms = [(float(w), f) for w, f in terms]
+        if not all(np.isfinite(w) for w, _ in self.terms):
+            raise NonFinite("weights must be finite")
         if any(w < 0 for w, _ in self.terms):
             raise ValueError("weights must be nonnegative")
         self.d = self.terms[0][1].d

@@ -248,14 +248,11 @@ def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
     recession slope is negative, in which case the ray is a certificate
     of unboundedness.  Ties are resolved toward the smallest ``alpha``.
     Slope thresholds are relative to the largest slope along ``direction``.
-    Raises ``DimensionMismatch`` for an ``x`` of the wrong length, and
-    ``NonFinite`` for a non-finite ``x`` or ``direction`` or ``f(x)``.
+    ``x`` and ``direction`` are each read by ``pa._check_point``, which raises
+    ``DimensionMismatch`` unless the shape is ``(d,)`` and ``NonFinite`` for
+    a non-finite entry; a non-finite ``f(x)`` also raises ``NonFinite``.
     """
-    x, direction = _check_point(f.d, x), np.asarray(direction, dtype=float)
-    if not np.isfinite(x).all():
-        raise NonFinite("point is not finite")
-    if not np.isfinite(direction).all():
-        raise NonFinite("direction is not finite")
+    x, direction = _check_point(f.d, x), _check_point(f.d, direction)
     if not direction.any():
         raise ValueError("direction must be nonzero")
 

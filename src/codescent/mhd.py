@@ -26,7 +26,7 @@ import numpy as np
 from .convex import ConvexFn
 from .errors import ArmijoFailure, NonFinite
 from .minnorm import min_norm_point
-from .pa import _csv_text, _default_tol, _record_dict
+from .pa import _check_point, _csv_text, _default_tol, _record_dict
 
 #: Cap on the Armijo backtracking exponent ``k``.  At the default
 #: ``gamma = 1/2``, ``gamma**60`` is below float64's relative precision
@@ -160,11 +160,13 @@ def mhd_run(
         has no step; status ``"stationary"`` once the minimum-norm
         element has norm at most ``trace.stop_tol`` (a global-minimum
         certificate), else ``"iter_limit"`` or ``"float_floor"`` (see
-        :class:`MHDTrace`).  Raises ``NonFinite`` at an iterate where
-        ``f`` is not finite.
+        :class:`MHDTrace`).  Raises ``DimensionMismatch`` unless ``x0`` is
+        a point of R^d for ``d = f.d``, before calling ``f``, and
+        ``NonFinite`` for a non-finite ``x0`` or at an iterate where ``f``
+        is not finite.
     """
     cfg = cfg or MHDConfig()
-    x = np.array(x0, dtype=float, ndmin=1)
+    x = _check_point(f.d, np.array(x0, dtype=float, ndmin=1))
     trace = MHDTrace(stop_tol=cfg.stop_tol)
     w = np.empty(0)
     for n in range(cfg.max_iter + 1):

@@ -53,14 +53,14 @@ def min_norm_point(vertices: np.ndarray, start: np.ndarray | None = None) -> tup
     so a one-vertex corral needs none.  Major cycles then go on until
     every vertex ``q`` satisfies
     ``<p, q> >= ||p||^2 - 64 * eps * max_q ||q||^2``, the float resolution
-    of the scores ``<p, q>``, which scales with the hull.  It also stops
-    once a major cycle fails to strictly decrease ``||p||^2``, returning
-    the point before or after it, whichever has the smaller gap
-    ``||p||^2 - min_q <p, q>``; a cycle that leaves the float value of
-    ``||p||^2`` equal but shrinks the gap goes on, as float may not
-    resolve a true decrease at that norm.  So every major cycle decreases
-    ``(||p||^2, gap)`` lexicographically, no point repeats and the
-    solver terminates from any start.
+    of the scores ``<p, q>``, which scales with the hull.  A major cycle
+    that fails to strictly decrease the float value of ``||p||^2`` does
+    not end the solve, as the true decrease may lie below its resolution:
+    up to k such cycles in a row go on, and the next one returns the
+    point with the smallest gap ``||p||^2 - min_q <p, q>`` since
+    ``||p||^2`` last decreased.  So ``||p||^2`` strictly decreases at
+    least once every k + 1 major cycles and the solver terminates from
+    any start.
 
     Parameters
     ----------
@@ -124,7 +124,7 @@ def min_norm_point(vertices: np.ndarray, start: np.ndarray | None = None) -> tup
     Q = P[corral]
     x = lam @ Q if lam.size > 1 else Q[0]
 
-    iters, before = 0, None
+    iters, before, stalls = 0, None, 0
     while True:
         # minor cycles: restore a positive affine-minimal combination; each
         # drops a vertex or ends them, so the cap is checked in major cycles
@@ -151,25 +151,27 @@ def min_norm_point(vertices: np.ndarray, start: np.ndarray | None = None) -> tup
 
         scores, xn = P @ x, float(x @ x)
         if before is not None and xn >= xx:
-            # float cannot order the two points by norm; the Wolfe gap bounds
-            # the squared distance to p*, so keep the point with the smaller
-            # gap, and go on only from an equal norm with a smaller gap:
-            # (norm, gap) then decreases lexicographically and no x repeats
-            if xn - scores.min() >= gap_before:
+            # float cannot show the decrease (it may be below the resolution of
+            # ||p||^2): go on for at most k cycles, keeping the point with the
+            # smallest Wolfe gap, which bounds the squared distance to p*
+            stalls += 1
+            if xn - scores.min() < gap_before:
+                before, gap_before = (corral, lam, x), xn - scores.min()
+            if stalls > P.shape[1]:
                 corral, lam, x = before
                 break
-            if xn > xx:
-                break
-        xx = xn
+        else:
+            xx, stalls = xn, 0
 
         # major cycle: most violating vertex (argmin takes the lowest index)
         iters += 1
         if iters > max_iter:
             raise NoConvergence(f"min_norm_point: no convergence in {max_iter} cycles")
         j = scores.argmin()
-        if scores[j] >= xx - floor:
+        if scores[j] >= xn - floor:
             break
-        before, gap_before = (corral, lam, x), xx - scores[j]
+        if not stalls:
+            before, gap_before = (corral, lam, x), xn - scores[j]
         corral, lam = np.concatenate((corral, [j])), np.concatenate((lam, [0.0]))
         Q = P[corral]
 

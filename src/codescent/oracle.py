@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate
+from .errors import Degenerate, NonFinite
 from .minnorm import min_norm_point
 from .pa import DCForm, _default_tol
 
@@ -185,9 +185,12 @@ def min_max_affine(pieces: np.ndarray) -> LPOutcome:
     """Minimize ``max_i (a_i + <v_i, x>)`` over all of R^d.
 
     ``pieces`` is an ``(m, d + 1)`` array of rows ``(a_i, v_i)``: the
-    epigraph LP of a single piece with a zero min part.
+    epigraph LP of a single piece with a zero min part.  Raises
+    ``NonFinite`` for a non-finite entry.
     """
     pieces = np.atleast_2d(np.asarray(pieces, dtype=float))
+    if not np.isfinite(pieces).all():
+        raise NonFinite("pieces contain non-finite entries")
     return next(_piece_minima(pieces, np.zeros((1, pieces.shape[1]))))
 
 

@@ -12,11 +12,13 @@ expansion reproduces increments of ``f`` exactly for *all*
 displacements, not just infinitesimally.
 
 The calculus operations (`codiff_affine`, `codiff_scale`, `codiff_sum`,
-`codiff_max`, `codiff_min`) combine DCForms so that the evaluation
-identity holds pointwise, and :func:`expr_to_dc` applies them
-recursively to an expression tree of affine atoms.  Sums and unions
-merge only rows that are exactly equal (``_merge_duplicates``) and
-scaling merges none, so ``codiff_scale(2**k, f)`` is ``2**k * f``.
+`codiff_max`) combine DCForms so that the evaluation identity holds
+pointwise; a minimum is the maximum under negation, ``-max(-f_i)``
+(`codiff_min`), as negating a DCForm swaps and negates its parts.
+:func:`expr_to_dc` applies them to an expression tree of affine atoms.
+Sums and unions merge only rows that are exactly equal
+(``_merge_duplicates``) and scaling merges none, so
+``codiff_scale(2**k, f)`` is ``2**k * f``.
 """
 
 from __future__ import annotations
@@ -202,9 +204,13 @@ class GlobalCodiff:
 
 
 def _check_point(d: int, x) -> np.ndarray:
+    """``x`` as one finite point of R^d: ``DimensionMismatch`` for any shape
+    but ``(d,)``, ``NonFinite("point is not finite")`` for NaN or inf."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != d:
-        raise DimensionMismatch(f"point has dimension {x.shape[-1]}, expected {d}")
+    if x.shape != (d,):
+        raise DimensionMismatch(f"point has shape {x.shape}, expected ({d},)")
+    if not np.isfinite(x).all():
+        raise NonFinite("point is not finite")
     return x
 
 
@@ -214,7 +220,9 @@ def _check_point(d: int, x) -> np.ndarray:
 
 def evaluate(f: DCForm, x):
     """Evaluate ``f`` at one point (shape ``(d,)``) or a batch ``(n, d)``."""
-    x = _check_point(f.d, x)
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (f.d,):
+        raise DimensionMismatch(f"points have shape {x.shape}, expected (..., {f.d})")
     lo = np.max(f.plus[:, 0] + x @ f.plus[:, 1:].T, axis=-1)
     hi = np.min(f.minus[:, 0] + x @ f.minus[:, 1:].T, axis=-1)
     out = lo + hi
@@ -222,9 +230,10 @@ def evaluate(f: DCForm, x):
 
 
 def global_codiff(f: DCForm, x) -> GlobalCodiff:
-    """Anchor the exact codifferential model of ``f`` at ``x``; its offsets
-    are formed as ``evaluate`` forms them, so ``value == evaluate(f, x)``.
-    Raises ``NonFinite`` where that value overflows."""
+    """Anchor the exact codifferential model of ``f`` at the point ``x``; its
+    offsets are formed as ``evaluate`` forms them, so ``value == evaluate(f, x)``.
+    Raises ``DimensionMismatch`` unless ``x`` has shape ``(d,)``, and
+    ``NonFinite`` for a non-finite ``x`` or where that value overflows."""
     x = _check_point(f.d, x)
     lo = f.plus[:, 0] + x @ f.plus[:, 1:].T
     hi = f.minus[:, 0] + x @ f.minus[:, 1:].T
@@ -309,41 +318,29 @@ def codiff_sum(fs) -> DCForm:
     return DCForm(d, plus, minus)
 
 
-def _max_like(fs, lead: str) -> tuple[np.ndarray, np.ndarray]:
-    """Shared construction for max (lead='plus') and min (lead='minus').
-
-    For the max of functions f_m, the combined max part enumerates, for
-    each m, the pieces of f_m's max part minus one min piece of every
-    other operand; the combined min part is the Minkowski sum of all min
-    parts.  The min construction mirrors it with the roles swapped.
-    """
-    trail = "minus" if lead == "plus" else "plus"
-    lead_rows = []
+def codiff_max(fs) -> DCForm:
+    """DCForm of the pointwise maximum of ``fs``: for each m, f_m's max part
+    plus one negated min piece of every other operand, merged once, over
+    the Minkowski sum of all min parts."""
+    d = _common_dim(fs)
+    plus = []
     for m, fm in enumerate(fs):
-        acc = getattr(fm, lead)
+        acc = fm.plus
         for k, fk in enumerate(fs):
             if k != m:
-                acc = _minkowski(acc, -getattr(fk, trail))
-        lead_rows.append(acc)
-    lead_part = _merge_duplicates(np.vstack(lead_rows))
-    trail_part = getattr(fs[0], trail)
+                acc = _minkowski(acc, -fk.minus)
+        plus.append(acc)
+    minus = fs[0].minus
     for g in fs[1:]:
-        trail_part = _minkowski(trail_part, getattr(g, trail))
-    return lead_part, trail_part
-
-
-def codiff_max(fs) -> DCForm:
-    """DCForm of the pointwise maximum of ``fs``."""
-    d = _common_dim(fs)
-    plus, minus = _max_like(fs, "plus")
-    return DCForm(d, plus, minus)
+        minus = _minkowski(minus, g.minus)
+    return DCForm(d, _merge_duplicates(np.vstack(plus)), minus)
 
 
 def codiff_min(fs) -> DCForm:
-    """DCForm of the pointwise minimum of ``fs``."""
-    d = _common_dim(fs)
-    minus, plus = _max_like(fs, "minus")
-    return DCForm(d, plus, minus)
+    """DCForm of the pointwise minimum of ``fs``: ``-max(-f_i)``."""
+    g = codiff_max([codiff_scale(-1.0, f) for f in fs])
+    # 0.0 - z keeps +0.0 entries positive, where unary minus would print -0.
+    return DCForm(g.d, 0.0 - g.minus, 0.0 - g.plus)
 
 
 # ---------------------------------------------------------------------------

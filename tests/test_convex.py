@@ -380,6 +380,23 @@ def test_quadratic_keeps_symmetric_part():
     assert np.array_equal(Quadratic(H, np.ones(2)).H, H)  # bit-identical if symmetric
 
 
+def test_quadratic_rejects_nonfinite_data():
+    # a NaN eigenvalue passed the convexity comparison, giving lipschitz_grad nan
+    with pytest.raises(NonFinite):
+        Quadratic([[np.nan]], [0.0])
+    with pytest.raises(NonFinite):
+        Quadratic(np.eye(2), [np.inf, 0.0])
+    with pytest.raises(NonFinite):
+        Quadratic(np.eye(2), np.zeros(2), np.nan)
+
+
+def test_convex_combination_rejects_nonfinite_weights():
+    # w < 0 is False for NaN, so a NaN weight gave the value NaN
+    for w in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFinite):
+            ConvexCombination([(w, linear([1.0]))])
+
+
 def test_quadratic_rejects_nonconvex_and_misshapen():
     with pytest.raises(ValueError):
         Quadratic(-np.eye(2), np.zeros(2))

@@ -241,12 +241,34 @@ def test_line_search_point_checks():
     f = worked_example()
     with pytest.raises(DimensionMismatch):
         line_search_pa(f, [2.0, 2.0, 2.0], [1.0, 0.0])
+    with pytest.raises(DimensionMismatch):
+        line_search_pa(f, [2.0, 2.0], [1.0, 0.0, 0.0])
     for bad in ([np.nan, 0.0], [np.inf, 0.0]):
         with pytest.raises(NonFinite, match="point is not finite"):
             line_search_pa(f, bad, [1.0, 0.0])
     # a finite x where f(x) = phi(0) overflows
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite, match="not finite"):
         line_search_pa(f, [1e308, 1e308], [1.0, 0.0])
+
+
+ONE_POINT = {
+    "global_codiff": global_codiff,
+    "project_piece": lambda f, x: project_piece(f, x, 0),
+    "check_global_opt": check_global_opt,
+    "check_inf_stationary": check_inf_stationary,
+    "mgcd_run": mgcd_run,
+    "mcd_run": mcd_run,
+    "line_search_pa": lambda f, x: line_search_pa(f, x, [1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("call", ONE_POINT.values(), ids=ONE_POINT.keys())
+def test_one_point_functions_reject_batches(call):
+    # evaluate takes a batch of points; a function of one point does not
+    f = worked_example()
+    for x in ([[2.0, 2.0]], [[2.0, 2.0], [0.0, 0.0]]):
+        with pytest.raises(DimensionMismatch, match=r"point has shape \("):
+            call(f, x)
 
 
 def test_line_search_single_rows():

@@ -7,6 +7,7 @@ from codescent import (
     ArmijoFailure,
     ConvexCombination,
     ConvexPAView,
+    DimensionMismatch,
     MaxOf,
     MHDConfig,
     NonFinite,
@@ -77,6 +78,21 @@ def test_run_reraises_armijo_failure_on_a_broken_oracle():
     wrong_sign = SmoothConvex(1, lambda x: (x @ x, -2 * x))
     with pytest.raises(ArmijoFailure):
         mhd_run(wrong_sign, [3.0])
+
+
+def test_start_of_wrong_dimension_raises_before_callback():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x @ x, 2 * x
+
+    with pytest.raises(DimensionMismatch):
+        mhd_run(SmoothConvex(1, fn), np.ones(3))
+    assert calls == []
+    maxq, _, x0 = max_quadratics(0)
+    with pytest.raises(DimensionMismatch):
+        mhd_run(maxq, x0[:-1])
 
 
 def test_run_starts_at_stationary_point():

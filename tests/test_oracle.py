@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from codescent import (
     DCForm,
     Degenerate,
+    NonFinite,
     classify_nonnegative,
     evaluate,
     min_max_affine,
@@ -320,3 +321,10 @@ def test_top_rung_matches_highs():
     assert out.bounded
     assert out.value == pytest.approx(min(_highs_piece_minima(f)), abs=1e-7)
     assert float(evaluate(f, out.argmin)) == pytest.approx(out.value, abs=1e-9)
+
+
+def test_min_max_affine_rejects_nonfinite():
+    # a NaN offset gave LPOutcome("bounded", value=nan) after RuntimeWarnings
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFinite):
+            min_max_affine([[bad, 1.0], [0.0, -1.0]])
