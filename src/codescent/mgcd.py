@@ -299,7 +299,7 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step,
     """
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
-    x = np.array(x0, dtype=float, ndmin=1)
+    x = np.array(x0, dtype=float)
     run = GlobalRun(method=method, ray=_unbounded_ray(f))
     for n in range(max_iter + 1):
         gc = global_codiff(f, x)

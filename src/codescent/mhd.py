@@ -166,7 +166,7 @@ def mhd_run(
         is not finite.
     """
     cfg = cfg or MHDConfig()
-    x = _check_point(f.d, np.array(x0, dtype=float, ndmin=1))
+    x = _check_point(f.d, np.array(x0, dtype=float))
     trace = MHDTrace(stop_tol=cfg.stop_tol)
     w = np.empty(0)
     for n in range(cfg.max_iter + 1):

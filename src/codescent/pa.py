@@ -16,9 +16,11 @@ The calculus operations (`codiff_affine`, `codiff_scale`, `codiff_sum`,
 pointwise; a minimum is the maximum under negation, ``-max(-f_i)``
 (`codiff_min`), as negating a DCForm swaps and negates its parts.
 :func:`expr_to_dc` applies them to an expression tree of affine atoms.
-Sums and unions merge only rows that are exactly equal
-(``_merge_duplicates``) and scaling merges none, so
-``codiff_scale(2**k, f)`` is ``2**k * f``.
+A DCForm is fixed only up to a linear term moved between its parts: a
+shift ``+(0, u)`` of the max part and ``-(0, u)`` of the min part cancels
+in every translate ``H(x) + z_j(x)``, so an affine atom needs one form.
+Sums and unions merge only rows that are exactly equal (``_merge_duplicates``)
+and scaling merges none, so ``codiff_scale(2**k, f)`` is ``2**k * f``.
 """
 
 from __future__ import annotations
@@ -196,8 +198,9 @@ class GlobalCodiff:
     hyper: np.ndarray
 
     def expansion(self, dx: np.ndarray) -> float:
-        """Exact increment ``f(at + dx) - f(at)`` predicted by the model."""
-        dx = np.asarray(dx, dtype=float)
+        """Exact increment ``f(at + dx) - f(at)`` predicted by the model;
+        ``DimensionMismatch`` or ``NonFinite`` for a ``dx`` that is not a finite point of R^d."""
+        dx = _check_point(self.at.size, dx)
         lo = np.max(self.hypo[:, 0] + self.hypo[:, 1:] @ dx)
         hi = np.min(self.hyper[:, 0] + self.hyper[:, 1:] @ dx)
         return float(lo + hi)
@@ -271,23 +274,11 @@ def _default_tol(value: float, *rows: np.ndarray, tol: float | None = None) -> f
 # calculus
 
 
-def codiff_affine(a: float, v: np.ndarray, flavor: str = "hypo") -> DCForm:
-    """DCForm of the affine function ``a + <v, x>``.
-
-    ``flavor="hypo"`` puts the gradient in the max part, ``"hyper"``
-    puts it in the min part (the constant stays in the max part so both
-    offset normalizations hold).  Both represent the same function;
-    the hypo flavor keeps piece counts down inside maxima, the hyper
-    flavor inside minima.
-    """
+def codiff_affine(a: float, v: np.ndarray) -> DCForm:
+    """DCForm of the affine function ``a + <v, x>``: the row ``(a, v)`` over a zero min part."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     d = v.shape[0]
-    zero = np.zeros(d)
-    if flavor == "hypo":
-        return DCForm(d, np.array([[a, *v]]), np.array([[0.0, *zero]]))
-    if flavor == "hyper":
-        return DCForm(d, np.array([[a, *zero]]), np.array([[0.0, *v]]))
-    raise ValueError(f"unknown flavor {flavor!r}")
+    return DCForm(d, np.array([[a, *v]]), np.zeros((1, d + 1)))
 
 
 def codiff_scale(lam: float, f: DCForm) -> DCForm:
@@ -419,36 +410,27 @@ def expr_eval(e: PAExpr, x) -> float:
 
 
 def expr_to_dc(e: PAExpr, d: int | None = None) -> DCForm:
-    """Compile an expression tree into a DCForm via the calculus rules.
-
-    Affine atoms take the hypo flavor under a Max and the hyper flavor
-    under a Min (flipped again under negative scaling), which keeps the
-    piece counts of the nested constructions minimal.
-    """
+    """Compile an expression tree into a DCForm via the calculus rules."""
     if d is None:
         d = expr_dim(e)
         if d is None:
             raise ValueError("cannot infer dimension from an all-constant tree; pass d")
 
-    def build(node: PAExpr, flavor: str) -> DCForm:
+    def build(node: PAExpr) -> DCForm:
         if isinstance(node, Affine):
             if len(node.v) != d:
                 raise DimensionMismatch(f"leaf has dimension {len(node.v)}, expected {d}")
-            return codiff_affine(node.a, np.array(node.v), flavor)
+            return codiff_affine(node.a, np.array(node.v))
         if isinstance(node, Const):
-            return codiff_affine(node.c, np.zeros(d), flavor)
+            return codiff_affine(node.c, np.zeros(d))
         if isinstance(node, Scale):
-            child_flavor = flavor
-            if node.coef < 0:
-                child_flavor = "hyper" if flavor == "hypo" else "hypo"
-            return codiff_scale(node.coef, build(node.child, child_flavor))
+            return codiff_scale(node.coef, build(node.child))
         if isinstance(node, Max):
-            return codiff_max([build(c, "hypo") for c in node.children])
+            return codiff_max([build(c) for c in node.children])
         if isinstance(node, Min):
-            return codiff_min([build(c, "hyper") for c in node.children])
+            return codiff_min([build(c) for c in node.children])
         if isinstance(node, Sum):
-            return codiff_sum([build(c, flavor) for c in node.children])
+            return codiff_sum([build(c) for c in node.children])
         raise TypeError(f"not a PAExpr node: {node!r}")
 
-    return build(e, "hypo")
-
+    return build(e)

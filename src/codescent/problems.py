@@ -122,6 +122,8 @@ def theta_lower_bound(d: int, scale: float = 1.0) -> float:
     is at least ``(2 B sqrt(d))**(-d)`` by a simplex-volume ratio, and
     the minimum-norm point of a hull realizes one of those distances.
     """
+    if not (d >= 1 and 0 < scale < math.inf):
+        raise ValueError(f"need d >= 1 and a finite scale > 0, got d={d}, scale={scale}")
     B = _cross_scale(d) + GEN_RHO
     dist = (2.0 * B * math.sqrt(d)) ** (-d)
     return (scale * dist) ** 2

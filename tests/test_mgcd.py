@@ -23,6 +23,7 @@ from codescent import (
     line_search_pa,
     mcd_run,
     mgcd_run,
+    mhd_run,
     pa_global_min,
     project_piece,
     random_start,
@@ -269,6 +270,16 @@ def test_one_point_functions_reject_batches(call):
     for x in ([[2.0, 2.0]], [[2.0, 2.0], [0.0, 0.0]]):
         with pytest.raises(DimensionMismatch, match=r"point has shape \("):
             call(f, x)
+
+
+def test_runs_reject_scalar_start():
+    # a start in R^1 is a (1,) point, as for global_codiff; a scalar is not one
+    with pytest.raises(DimensionMismatch, match=r"point has shape \(\)"):
+        mgcd_run(ABS_X, 3.0)
+    with pytest.raises(DimensionMismatch, match=r"point has shape \(\)"):
+        mcd_run(ABS_X, 3.0)
+    with pytest.raises(DimensionMismatch, match=r"point has shape \(\)"):
+        mhd_run(Quadratic(np.array([[2.0]]), np.zeros(1)), 3.0)
 
 
 def test_line_search_single_rows():

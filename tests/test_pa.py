@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from codescent import (
     Affine,
@@ -111,8 +112,18 @@ def test_global_codiff_record():
         global_codiff(f, [1e308, 1e308])
 
 
+def test_expansion_checks_dx():
+    f = worked_example()
+    gc = global_codiff(f, [2.0, 2.0])
+    assert gc.expansion([-2.0, -2.0]) == evaluate(f, [0.0, 0.0]) - gc.value
+    with pytest.raises(DimensionMismatch, match=r"point has shape \(1,\)"):
+        gc.expansion([1.0])
+    with pytest.raises(NonFinite, match="point is not finite"):
+        gc.expansion([np.nan, 0.0])
+
+
 def test_global_codiff_single_affine():
-    f = codiff_affine(3.0, np.array([2.0]), "hypo")
+    f = codiff_affine(3.0, np.array([2.0]))
     for x in ([0.0], [7.0], [-4.0]):
         gc = global_codiff(f, x)
         assert np.allclose(gc.hypo, [[0.0, 2.0]])
@@ -225,16 +236,27 @@ def test_merge_duplicates_matches_reference(seed, m, k, copies, ulps):
         assert len(out) == len(distinct_rows(base)) + len(distinct_rows(dup))
 
 
-def test_codiff_affine_flavors():
-    hypo = codiff_affine(0.0, np.array([1.0]), "hypo")
-    assert np.allclose(hypo.plus, [[0.0, 1.0]]) and np.allclose(hypo.minus, [[0.0, 0.0]])
-    hyper = codiff_affine(2.0, np.array([3.0]), "hyper")
-    assert np.allclose(hyper.plus, [[2.0, 0.0]]) and np.allclose(hyper.minus, [[0.0, 3.0]])
-    for flavor in ("hypo", "hyper"):
-        f = codiff_affine(2.0, np.array([3.0]), flavor)
-        assert evaluate(f, [1.0]) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        codiff_affine(0.0, np.array([1.0]), "sideways")
+def test_codiff_affine():
+    f = codiff_affine(2.0, np.array([3.0]))
+    assert np.array_equal(f.plus, [[2.0, 3.0]]) and np.array_equal(f.minus, [[0.0, 0.0]])
+    assert evaluate(f, [1.0]) == 5.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), l=st.integers(1, 5), s=st.integers(1, 5))
+def test_linear_shift_between_parts_changes_no_translate(data, d, l, s):
+    # a DCForm is fixed only up to a linear term moved between its parts: the
+    # shift +(0, u) of the max part and -(0, u) of the min part cancels in every
+    # translate H(x) + z_j(x), so no choice of form for an atom can change one
+    def ints(*shape):
+        return data.draw(arrays(np.int64, shape, elements=st.integers(-9, 9))).astype(float)
+
+    f = DCForm(d, ints(l, d + 1), ints(s, d + 1))
+    u, x = np.concatenate(([0.0], ints(d))), ints(d)
+    g = DCForm(d, f.plus + u, f.minus - u)
+    gf, gg = global_codiff(f, x), global_codiff(g, x)
+    assert (gg.hypo + gg.hyper[:, None]).tobytes() == (gf.hypo + gf.hyper[:, None]).tobytes()
+    assert evaluate(g, x) == evaluate(f, x) == gg.value == gf.value
 
 
 def test_codiff_scale(rng):

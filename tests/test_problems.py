@@ -172,6 +172,13 @@ def test_theta_lower_bound_positive_and_modest():
     assert theta_lower_bound(2, scale=2.0) == pytest.approx(4.0 * theta_lower_bound(2))
 
 
+def test_theta_lower_bound_validates_arguments():
+    # the inputs generate_pa rejects have no instances to bound
+    for d, scale in ((0, 1.0), (2, 0.0), (2, -1.0), (2, math.nan), (2, math.inf)):
+        with pytest.raises(ValueError, match="scale"):
+            theta_lower_bound(d, scale)
+
+
 def test_random_start_deterministic():
     assert np.array_equal(random_start(7, 3), random_start(7, 3))
     assert not np.array_equal(random_start(7, 3), random_start(8, 3))
