@@ -34,8 +34,10 @@ from .errors import (
 from .mgcd import (
     Certificate,
     GlobalRun,
+    NonnegativityVerdict,
     check_global_opt,
     check_inf_stationary,
+    classify_nonnegative,
     line_search_pa,
     mcd_run,
     mgcd_run,
@@ -45,8 +47,6 @@ from .mhd import MHDConfig, MHDTrace, armijo_step, mhd_run
 from .minnorm import min_norm_point, wolfe_residual
 from .oracle import (
     LPOutcome,
-    NonnegativityVerdict,
-    classify_nonnegative,
     min_max_affine,
     pa_global_min,
 )

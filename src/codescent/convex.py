@@ -247,10 +247,10 @@ def check_lipschitz_approx(f: ConvexFn, L: float, pairs, tol: float | None = Non
     Verifies ``|f(y) - f(x) - max_(a,v) (a + <v, y - x>)|
     <= (L/2) ||y - x||^2 + tol`` for each pair and reports the worst
     excess over the bound and the worst remainder-to-bound ratio.
-    ``L`` must be positive; ``tol`` is read as in :func:`check_amenable`.
+    ``L`` must be positive and finite; ``tol`` is read as in :func:`check_amenable`.
     """
-    if not L > 0:
-        raise ValueError(f"L must be positive, got {L}")
+    if not 0 < L < np.inf:
+        raise ValueError(f"L must be positive and finite, got {L}")
     worst_excess, worst_ratio, wx, wy = -np.inf, 0.0, None, None
     pairs = [[np.atleast_1d(np.asarray(p, dtype=float)) for p in pair] for pair in pairs]
     at_x = [f.value_and_hypodiff(x) for x, _ in pairs]

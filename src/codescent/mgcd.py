@@ -11,9 +11,9 @@ shifted hypodifferential ``H(x) + z_j(x)`` whose minimum-norm element
 
 Both readings assume ``f`` bounded below.  ``f`` is unbounded below
 exactly when some piece's gradient hull ``conv{v_i + w_j}`` misses the
-origin; that hull does not depend on ``x``, so ``_unbounded_ray`` checks
-it once per run (and once per ``check_global_opt``) before any
-projection is read.
+origin; that hull does not depend on ``x``, so ``_unbounded_ray`` checks it
+once per run, ``check_global_opt`` and ``classify_nonnegative`` (the sign
+of a max of affine pieces) before any projection is read.
 
 ``mgcd_run`` iterates exactly this, maintaining the active index set;
 once every index is discarded a per-index certificate is attached, and
@@ -40,6 +40,7 @@ No threshold is absolute: every "is this zero?" reads against one
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +71,23 @@ class Certificate:
 
     def to_dict(self) -> dict:
         return _record_dict(self, is_global=self.is_global)
+
+
+@dataclass(frozen=True)
+class NonnegativityVerdict:
+    """Outcome of :func:`classify_nonnegative`.
+
+    ``kind`` is ``"nonnegative"``, ``"attains_negative"`` (with a
+    ``witness`` point of negative value) or ``"unbounded_below"`` (with
+    a descent ``direction``).  ``a0``/``v0`` carry the minimum-norm
+    point of the piece hull that certifies the verdict.
+    """
+
+    kind: str
+    a0: float
+    v0: np.ndarray
+    witness: np.ndarray | None = None
+    direction: np.ndarray | None = None
 
 
 @dataclass
@@ -139,15 +157,18 @@ class GlobalRun:
 # pointwise primitives
 
 
-def _check_index(f: DCForm, j: int) -> None:
-    # explicit, so that a negative j cannot wrap around
+def _check_index(f: DCForm, j: int) -> int:
+    # read as a list reads an index (True is 1, a float raises TypeError), and
+    # range-checked so that a negative j cannot wrap around
+    j = operator.index(j)
     if not 0 <= j < f.minus.shape[0]:
         raise IndexError(f"min-part index {j} out of range")
+    return j
 
 
 def project_piece(f: DCForm, x, j: int) -> np.ndarray:
     """Minimum-norm element ``(a_j(x), v_j(x))`` of ``H(x) + z_j(x)``."""
-    _check_index(f, j)
+    j = _check_index(f, j)
     gc = global_codiff(f, x)
     return min_norm_point(gc.hypo + gc.hyper[j])[0]
 
@@ -185,6 +206,29 @@ def check_global_opt(f: DCForm, x, tol: float | None = None) -> tuple[bool, Cert
     a_values = min_norm_point(gc.hypo + gc.hyper[:, None])[0][:, 0]
     cert = Certificate(point=gc.at, a_values=a_values, tol=tol, ray=_unbounded_ray(f))
     return cert.is_global, cert
+
+
+def classify_nonnegative(pieces: np.ndarray, tol: float | None = None) -> NonnegativityVerdict:
+    """Classify ``f(x) = max_i (a_i + <v_i, x>)`` by its sign behaviour,
+    the one-piece case of ``check_global_opt``, at the origin.
+
+    A bounded-below ``f`` is nonnegative iff the offset ``a0`` of the
+    minimum-norm point ``(a0, v0)`` of the piece hull is at least ``-tol``,
+    and otherwise ``v0 / a0`` witnesses a negative value; ``_unbounded_ray``
+    decides boundedness, and its ray is the descent ``direction``.
+    ``tol`` is read through ``pa._default_tol`` at the origin.
+    """
+    pieces = np.atleast_2d(np.asarray(pieces, dtype=float))
+    point, _ = min_norm_point(pieces)
+    a0, v0 = float(point[0]), point[1:]
+    top = pieces[:, 0].max()  # f(0)
+    tol = _default_tol(top, pieces[:, 0] - top, pieces[:, 1:], tol=tol)
+    ray = _unbounded_ray(DCForm(pieces.shape[1] - 1, pieces, np.zeros((1, pieces.shape[1]))))
+    if ray is not None:
+        return NonnegativityVerdict("unbounded_below", a0, v0, direction=ray)
+    if a0 >= -tol:
+        return NonnegativityVerdict("nonnegative", a0, v0)
+    return NonnegativityVerdict("attains_negative", a0, v0, witness=v0 / a0)
 
 
 def check_inf_stationary(f: DCForm, x, tol: float | None = None) -> bool:
@@ -247,6 +291,9 @@ def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
     off both in O((l + s) log(l + s)) time and O(l + s) memory, unless the
     recession slope is negative, in which case the ray is a certificate
     of unboundedness.  Ties are resolved toward the smallest ``alpha``.
+    The search runs along ``direction`` scaled exactly by the power of two
+    that puts its largest |entry| in [0.5, 1), so ``direction * 2**k`` gives
+    ``alpha * 2**-k``, and raises ``NonFinite`` when the step overflows.
     Slope thresholds are relative to the largest slope along ``direction``.
     ``x`` and ``direction`` are each read by ``pa._check_point``, which raises
     ``DimensionMismatch`` unless the shape is ``(d,)`` and ``NonFinite`` for
@@ -255,6 +302,8 @@ def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
     x, direction = _check_point(f.d, x), _check_point(f.d, direction)
     if not direction.any():
         raise ValueError("direction must be nonzero")
+    e = math.frexp(float(np.abs(direction).max()))[1]
+    direction = np.ldexp(direction, -e)  # exact: its largest |entry| in [0.5, 1)
 
     p, q = f.plus[:, 0] + f.plus[:, 1:] @ x, f.plus[:, 1:] @ direction
     r, t = f.minus[:, 0] + f.minus[:, 1:] @ x, f.minus[:, 1:] @ direction
@@ -271,7 +320,11 @@ def line_search_pa(f: DCForm, x, direction) -> LineSearchResult:
     if not np.isfinite(vals[0]):
         raise NonFinite("f is not finite at this point")
     best = int(np.argmin(vals))
-    return LineSearchResult(alpha=float(cand[best]), value=float(vals[best]))
+    try:
+        alpha = math.ldexp(cand[best], -e)
+    except OverflowError:
+        raise NonFinite("the step along direction overflows") from None
+    return LineSearchResult(alpha=alpha, value=float(vals[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +350,7 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step,
     with no certificate (after ``max_iter`` steps), ``global_min`` when the
     certificate holds and ``stall`` otherwise.
     """
-    if max_iter < 0:
+    if (max_iter := operator.index(max_iter)) < 0:
         raise ValueError("max_iter must be >= 0")
     x = np.array(x0, dtype=float)
     run = GlobalRun(method=method, ray=_unbounded_ray(f))

@@ -18,6 +18,7 @@ exact search terminates finitely).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -59,6 +60,7 @@ class MHDConfig:
             raise ValueError("sigma and gamma must lie in (0, 1)")
         if self.stop_tol is not None and not 0 < self.stop_tol < np.inf:
             raise ValueError(f"stop_tol must be finite and positive, got {self.stop_tol}")
+        object.__setattr__(self, "max_iter", operator.index(self.max_iter))
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
 

@@ -14,20 +14,16 @@ phase 1, and each piece starts from the previous one's optimal basis.
 The basis inverse is explicit, ``(d + 1)``-square, and takes a rank-1
 eta update per pivot (see :func:`solve_lp`).
 
-Three entry points use it:
+Two entry points share one loop over the pieces, :func:`_global_min`:
 
 * :func:`min_max_affine` — exact minimum of a max of affine pieces (one
   piece with a zero min part), with an explicit certificate ray when
   unbounded;
-* :func:`classify_nonnegative` — decide whether such a function is
-  nonnegative everywhere, attains negative values, or is unbounded
-  below, certified via the minimum-norm point of its piece hull;
 * :func:`pa_global_min` — exact global minimum of a DCForm, the
   smallest of its per-piece LP optima.
 
-Everything here is deliberately independent of the descent methods it
-is used to check, except that ``classify_nonnegative`` consults the
-min-norm solver for its sign certificate, as its contract requires.
+Nothing here shares code with the descent methods it is used to check:
+neither their min-norm solver nor their tolerance rule.
 """
 
 from __future__ import annotations
@@ -38,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, NonFinite
-from .minnorm import min_norm_point
-from .pa import DCForm, _default_tol
+from .pa import DCForm
 
 _PIVOT_TOL = 1e-9
 _TIE_TOL = 1e-12
@@ -64,23 +59,6 @@ class LPOutcome:
     @property
     def bounded(self) -> bool:
         return self.status == "bounded"
-
-
-@dataclass(frozen=True)
-class NonnegativityVerdict:
-    """Outcome of :func:`classify_nonnegative`.
-
-    ``kind`` is ``"nonnegative"``, ``"attains_negative"`` (with a
-    ``witness`` point of negative value) or ``"unbounded_below"`` (with
-    a descent ``direction``).  ``a0``/``v0`` carry the minimum-norm
-    point of the piece hull that certifies the verdict.
-    """
-
-    kind: str
-    a0: float
-    v0: np.ndarray
-    witness: np.ndarray | None = None
-    direction: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +126,10 @@ def solve_lp(A, c, beta, basis, Binv, dd):
 # polyhedral entry points
 
 
-def _piece_minima(plus: np.ndarray, minus: np.ndarray):
-    """Yield the :class:`LPOutcome` of each piece ``j``,
-    ``min_x max_i (a_i + b_j + <v_i + w_j, x>)``, from one dual basis.
+def _global_min(plus: np.ndarray, minus: np.ndarray) -> LPOutcome:
+    """``min_j min_x max_i (a_i + b_j + <v_i + w_j, x>)``, the pieces ``j``
+    solved in order from one dual basis: the first unbounded piece gives
+    its Farkas ray, otherwise the least value wins, the first on ties.
 
     ``A = [1; unit V^T]``, costs ``unit a`` and right-hand sides
     ``(1, -unit w_j)``, with ``unit`` the power of two just above the
@@ -172,13 +151,16 @@ def _piece_minima(plus: np.ndarray, minus: np.ndarray):
     Binv[1:, 0] = -A[1:, top]
     dd = c - c[top]
     betas = np.column_stack([np.ones(len(minus)), -unit * minus[:, 1:]])
+    best = None
     for b, w, beta in zip(minus[:, 0], minus[:, 1:], betas):
         status, y = solve_lp(A, c, beta, basis, Binv, dd)
-        if status == "optimal":
-            x = -y[1:]
-            yield LPOutcome("bounded", argmin=x, value=float(np.max(a + V @ x) + b + w @ x))
-        else:
-            yield LPOutcome("unbounded_below", ray=-y[1:] / np.linalg.norm(y[1:]))
+        if status != "optimal":
+            return LPOutcome("unbounded_below", ray=-y[1:] / np.linalg.norm(y[1:]))
+        x = -y[1:]
+        value = float(np.max(a + V @ x) + b + w @ x)
+        if best is None or value < best.value:
+            best = LPOutcome("bounded", argmin=x, value=value)
+    return best
 
 
 def min_max_affine(pieces: np.ndarray) -> LPOutcome:
@@ -191,31 +173,7 @@ def min_max_affine(pieces: np.ndarray) -> LPOutcome:
     pieces = np.atleast_2d(np.asarray(pieces, dtype=float))
     if not np.isfinite(pieces).all():
         raise NonFinite("pieces contain non-finite entries")
-    return next(_piece_minima(pieces, np.zeros((1, pieces.shape[1]))))
-
-
-def classify_nonnegative(pieces: np.ndarray, tol: float | None = None) -> NonnegativityVerdict:
-    """Classify ``f(x) = max_i (a_i + <v_i, x>)`` by its sign behaviour.
-
-    For a bounded-below ``f`` the verdict reduces to the sign of the
-    offset ``a0`` of the minimum-norm point ``(a0, v0)`` of the piece
-    hull: nonnegative iff ``a0 >= -tol``, otherwise ``v0 / a0``
-    witnesses a negative value.  An unbounded ``f`` is reported with the
-    LP's Farkas ray as its descent direction, which is why the
-    boundedness precondition of the sign test never needs to be trusted.
-    ``tol`` is read through ``pa._default_tol`` at the origin.
-    """
-    pieces = np.atleast_2d(np.asarray(pieces, dtype=float))
-    point, _ = min_norm_point(pieces)
-    a0, v0 = float(point[0]), point[1:]
-    top = pieces[:, 0].max()  # f(0)
-    tol = _default_tol(top, pieces[:, 0] - top, pieces[:, 1:], tol=tol)
-    lp = min_max_affine(pieces)
-    if not lp.bounded:
-        return NonnegativityVerdict("unbounded_below", a0, v0, direction=lp.ray)
-    if a0 >= -tol:
-        return NonnegativityVerdict("nonnegative", a0, v0)
-    return NonnegativityVerdict("attains_negative", a0, v0, witness=v0 / a0)
+    return _global_min(pieces, np.zeros((1, pieces.shape[1])))
 
 
 def pa_global_min(f: DCForm) -> LPOutcome:
@@ -226,10 +184,4 @@ def pa_global_min(f: DCForm) -> LPOutcome:
     optima; any unbounded piece makes ``f`` unbounded below.  All
     pieces share one dual basis (see the module docstring).
     """
-    best: LPOutcome | None = None
-    for lp in _piece_minima(f.plus, f.minus):
-        if not lp.bounded:
-            return lp
-        if best is None or lp.value < best.value:
-            best = lp
-    return best
+    return _global_min(f.plus, f.minus)

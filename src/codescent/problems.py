@@ -186,6 +186,8 @@ def max_quadratics(seed: int, d: int = 10, k: int = 5) -> tuple[MaxOf, float, np
     relative to ``L`` along any descent trajectory, which the step-size
     floor instrumentation relies on.
     """
+    if not (d >= 1 and k >= 1):
+        raise ValueError(f"max_quadratics needs d >= 1 and k >= 1, got d={d}, k={k}")
     rng = _rng(seed)
     children = []
     L = 0.0

@@ -338,6 +338,14 @@ def test_checkers_scale_free(k):
 # quadratic remainder bound
 
 
+@pytest.mark.parametrize("L", [0.0, -1.0, np.inf, np.nan])
+def test_lipschitz_constant_must_be_positive_and_finite(L):
+    # an infinite L makes every bound infinite, so any f would pass
+    pts = grid(-2, 2, 5, 1)
+    with pytest.raises(ValueError, match="L must be positive"):
+        check_lipschitz_approx(x_squared(), L, [(x, y) for x in pts for y in pts])
+
+
 def test_lipschitz_exact_for_quadratic(rng):
     f = x_squared()
     pairs = [(rng.normal(size=1) * 2, rng.normal(size=1) * 2) for _ in range(200)]

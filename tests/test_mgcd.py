@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from codescent import (
@@ -73,6 +73,15 @@ def test_project_piece_showcase():
     for j in (-1, 8):
         with pytest.raises(IndexError):
             project_piece(f, X0, j)
+
+
+def test_project_piece_reads_index_as_int():
+    # True is piece 1, as in a list; a float is no index
+    f = worked_example()
+    assert np.array_equal(project_piece(f, X0, True), project_piece(f, X0, 1))
+    assert np.array_equal(project_piece(f, X0, np.int64(1)), project_piece(f, X0, 1))
+    with pytest.raises(TypeError):
+        project_piece(f, X0, 1.5)
 
 
 def test_project_piece_abs_at_kink():
@@ -225,6 +234,28 @@ def test_line_search_direction_scaling(k):
         ref = line_search_pa(f, x, direction)
         res = line_search_pa(f, x, 2.0**k * direction)
         assert (res.alpha, res.value, res.unbounded) == (ref.alpha / 2.0**k, ref.value, ref.unbounded)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=line_search_cases(), k=st.integers(-60, 60))
+def test_line_search_power_of_two_direction(case, k):
+    # the search runs along the direction scaled to a largest |entry| in
+    # [0.5, 1), so wherever scaling it by 2**k is exact, alpha scales by 2**-k
+    f, x, direction = case
+    scaled = np.ldexp(direction, k)
+    assume(np.array_equal(np.ldexp(scaled, -k), direction))
+    ref, res = line_search_pa(f, x, direction), line_search_pa(f, x, scaled)
+    assert (res.alpha, res.value, res.unbounded) == (math.ldexp(ref.alpha, -k), ref.value, ref.unbounded)
+
+
+def test_line_search_tiny_direction_breakpoints():
+    # along (1e-320, 0) the slope gap underflowed and a NaN breakpoint value
+    # won the argmin; phi's minimum is at alpha = 0
+    f = worked_example()
+    assert line_search_pa(f, X0, [1e-320, 0.0]) == LineSearchResult(alpha=0.0, value=1.0)
+    # the true step along (1, 0.5) * 2**-1070 lies beyond the float range
+    with pytest.raises(NonFinite, match="overflows"):
+        line_search_pa(f, X0, np.ldexp([1.0, 0.5], -1070))
 
 
 def test_line_search_direction_checks():
@@ -808,6 +839,16 @@ def test_negative_max_iter_rejected(runner):
     with pytest.raises(ValueError, match="max_iter must be >= 0"):
         runner(worked_example(), X0, max_iter=-1)
     assert runner(worked_example(), X0, max_iter=0).status == "iter_limit"
+
+
+@pytest.mark.parametrize("runner", [mgcd_run, mcd_run])
+def test_non_integer_max_iter_rejected_before_any_projection(runner, monkeypatch):
+    def no_projection(*args, **kwargs):
+        raise AssertionError("projected before max_iter was read")
+
+    monkeypatch.setattr(mgcd, "min_norm_point", no_projection)
+    with pytest.raises(TypeError):
+        runner(worked_example(), X0, max_iter=2.5)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])

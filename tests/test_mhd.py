@@ -235,6 +235,12 @@ def test_negative_max_iter_rejected():
     assert trace.status == "iter_limit" and len(trace.steps) == 1
 
 
+def test_non_integer_max_iter_rejected_by_config():
+    with pytest.raises(TypeError):
+        MHDConfig(max_iter=2.5)
+    assert type(MHDConfig(max_iter=np.int64(3)).max_iter) is int
+
+
 @pytest.mark.parametrize("sigma, gamma", [(1.0, 0.5), (0.1, 0.0)])
 def test_armijo_parameters_outside_unit_interval_rejected(sigma, gamma):
     with pytest.raises(ValueError, match="sigma and gamma must lie in"):

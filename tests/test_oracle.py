@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -145,6 +147,42 @@ def test_classify_matches_lp_verdict(rng):
         if v.kind == "attains_negative":
             val = np.max(pieces[:, 0] + pieces[:, 1:] @ v.witness)
             assert val < 0
+
+
+@st.composite
+def small_integer_pieces(draw):
+    """1 to 8 rows over R^d, d <= 4, of integers in [-3, 3]: unbounded sets,
+    hulls through the origin and repeated rows all come up."""
+    d, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    row = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+    return np.array(draw(st.lists(row, min_size=m, max_size=m)), dtype=float)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pieces=small_integer_pieces())
+def test_classify_boundedness_matches_lp(pieces):
+    # two independent computations: the codifferential ray test and the dual simplex
+    v = classify_nonnegative(pieces)
+    lp = min_max_affine(pieces)
+    assert (v.kind == "unbounded_below") == (not lp.bounded)
+    if v.kind == "unbounded_below":
+        assert np.max(pieces[:, 1:] @ v.direction) < 0
+    else:
+        assert (v.kind == "nonnegative") == (lp.value >= -1e-9)
+
+
+def test_oracle_imports_nothing_it_checks():
+    sources, names = set(), set()
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+            sources.add((node.module or "").rsplit(".", 1)[-1])
+            if node.module in (None, "codescent"):
+                sources.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            sources.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+    assert not sources & {"minnorm", "mgcd", "mhd", "convex"}
+    assert "_default_tol" not in names
 
 
 # ---------------------------------------------------------------------------

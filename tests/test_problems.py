@@ -193,6 +193,12 @@ def test_worked_example_values():
     assert evaluate(f, [0.5, 0.25]) == 0.5
 
 
+@pytest.mark.parametrize("d, k", [(0, 5), (3, 0), (-1, 2)])
+def test_max_quadratics_rejects_empty_sizes(d, k):
+    with pytest.raises(ValueError, match="d >= 1 and k >= 1"):
+        max_quadratics(0, d=d, k=k)
+
+
 def test_max_quadratics_metadata():
     fn, L, x0 = max_quadratics(5, d=6, k=3)
     fn2, L2, x02 = max_quadratics(5, d=6, k=3)
