@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .pa import _default_tol, _minkowski, evaluate, global_codiff
+from .pa import _common_dim, _default_tol, _minkowski, evaluate, global_codiff
 
 
 class ConvexFn:
@@ -125,9 +125,7 @@ class ConvexCombination(ConvexFn):
             raise NonFinite("weights must be finite")
         if any(w < 0 for w, _ in self.terms):
             raise ValueError("weights must be nonnegative")
-        self.d = self.terms[0][1].d
-        if any(f.d != self.d for _, f in self.terms):
-            raise DimensionMismatch("terms have mixed dimensions")
+        self.d = _common_dim([f for _, f in self.terms])
 
     def value(self, x):
         return float(sum(w * f.value(x) for w, f in self.terms))
@@ -136,13 +134,10 @@ class ConvexCombination(ConvexFn):
         return self.value_and_hypodiff(x)[1]
 
     def value_and_hypodiff(self, x):
-        # Minkowski sums from the zero row, capped and merged as in codiff_sum;
-        # fx sums in the order value sums
-        fx, H = 0, np.zeros((1, self.d + 1))
-        for w, f in self.terms:
-            fi, Hi = f.value_and_hypodiff(x)
-            fx, H = fx + w * fi, _minkowski(H, w * Hi)
-        return float(fx), H
+        # codiff_sum's Minkowski fold from the zero row; fx sums in the order value sums
+        vals, Hs = zip(*(f.value_and_hypodiff(x) for _, f in self.terms))
+        fx = sum(w * fi for (w, _), fi in zip(self.terms, vals))
+        return float(fx), _minkowski(np.zeros((1, self.d + 1)), *(w * Hi for (w, _), Hi in zip(self.terms, Hs)))
 
 
 class MaxOf(ConvexFn):
@@ -159,9 +154,7 @@ class MaxOf(ConvexFn):
         if not children:
             raise ValueError("need at least one child")
         self.children = list(children)
-        self.d = self.children[0].d
-        if any(f.d != self.d for f in self.children):
-            raise DimensionMismatch("children have mixed dimensions")
+        self.d = _common_dim(self.children)
         self._stack = None
         if all(isinstance(f, Quadratic) for f in self.children):
             self._stack = tuple(np.stack([getattr(f, a) for f in self.children]) for a in "Hbc")

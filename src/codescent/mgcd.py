@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFinite
-from .minnorm import min_norm_point
+from .minnorm import _exponent, min_norm_point
 from .pa import DCForm, GlobalCodiff, _check_point, _csv_text, _default_tol, _record_dict, evaluate, global_codiff
 
 
@@ -167,10 +167,11 @@ def _check_index(f: DCForm, j: int) -> int:
 
 
 def project_piece(f: DCForm, x, j: int) -> np.ndarray:
-    """Minimum-norm element ``(a_j(x), v_j(x))`` of ``H(x) + z_j(x)``."""
+    """Minimum-norm element ``(a_j(x), v_j(x))`` of ``H(x) + z_j(x)``, row j
+    of the one stacked projection that runs and ``check_global_opt`` make."""
     j = _check_index(f, j)
     gc = global_codiff(f, x)
-    return min_norm_point(gc.hypo + gc.hyper[j])[0]
+    return min_norm_point(gc.hypo + gc.hyper[:, None])[0][j]
 
 
 def _unbounded_ray(f: DCForm) -> np.ndarray | None:
@@ -181,9 +182,12 @@ def _unbounded_ray(f: DCForm) -> np.ndarray | None:
     does not depend on ``x``, misses the origin.  If the hull's
     minimum-norm point ``u`` has ``<g, u>`` above its rounding bound at
     every vertex ``g``, then ``f(x - t u)`` decreases at least linearly
-    in ``t``; the first such piece gives ``-u / ||u||``.
+    in ``t``; the first such piece gives ``-u / ||u||``.  Each hull is read
+    scaled up as ``min_norm_point`` scales it, so ``g @ u`` cannot underflow.
     """
     G = f.plus[:, 1:] + f.minus[:, None, 1:]  # piece j's gradient hull is G[j]
+    if (e := _exponent(G)) is not None:
+        G = np.ldexp(G, -e[:, None, None])
     for g, u in zip(G, min_norm_point(G)[0]):
         # rounding of the sums in g and of the products g @ u
         bound = (g.shape[1] + 2) * np.finfo(float).eps * (np.abs(g) @ np.abs(u))
@@ -237,12 +241,12 @@ def check_inf_stationary(f: DCForm, x, tol: float | None = None) -> bool:
     True iff for every active min-part index (hyper offset at most
     ``tol``) the shifted hypodifferential contains the origin, i.e. its
     minimum-norm element has norm at most ``tol``, read through
-    ``pa._default_tol`` at ``x``.
+    ``pa._default_tol`` at ``x``; the norm is ``math.hypot``'s, which does not underflow.
     """
     gc = global_codiff(f, x)
     tol = _default_tol(gc.value, gc.hypo, gc.hyper, tol=tol)
     points = min_norm_point(gc.hypo + gc.hyper[:, None])[0]
-    return all(np.linalg.norm(p) <= tol for p, z in zip(points, gc.hyper) if z[0] <= tol)
+    return all(math.hypot(*p) <= tol for p, z in zip(points, gc.hyper) if z[0] <= tol)
 
 
 @dataclass(frozen=True)
@@ -439,10 +443,10 @@ def mcd_run(
         searches = {}
         for j in cand if descent or len(cand) < s else []:
             vj = points[j, 1:]
-            if np.linalg.norm(vj) > tol:  # a shorter v_j is rounding, not a direction
+            if (norm := math.hypot(*vj)) > tol:  # a shorter v_j is rounding, not a direction
                 searches[j] = line_search_pa(f, rec.x, vj)
                 if searches[j].unbounded:
-                    run.ray = -vj / np.linalg.norm(vj)
+                    run.ray = -vj / norm
                     return None
 
         best = min(searches, key=lambda j: searches[j].value, default=None)

@@ -11,7 +11,9 @@ restore the current point to a positive convex combination of the
 corral.  A corral's affine subproblem is solved by least squares on the
 differences of its vertices, not on their Gram matrix.  The solver has
 no tolerance to set: it stops at the float resolution of its scores,
-which is relative to the hull.
+which is relative to the hull.  A hull of entries all below 1/2 in
+magnitude is solved scaled up by an exact power of two, so no square
+underflows and ``2**k * P`` projects to ``2**k`` times the projection of ``P``.
 
 Given a stack ``(B, m, k)`` of hulls, ``min_norm_point`` projects each,
 as MGCD and MCD do with the s translates ``H(x) + z_j(x)`` at every
@@ -60,7 +62,9 @@ def min_norm_point(vertices: np.ndarray, start: np.ndarray | None = None) -> tup
     point with the smallest gap ``||p||^2 - min_q <p, q>`` since
     ``||p||^2`` last decreased.  So ``||p||^2`` strictly decreases at
     least once every k + 1 major cycles and the solver terminates from
-    any start.
+    any start.  A hull whose largest |entry| is below 1/2 is solved
+    scaled up exactly into [1/2, 1) by a power of two (``_exponent``),
+    and its point is scaled back; its weights do not change.
 
     Parameters
     ----------
@@ -95,6 +99,9 @@ def min_norm_point(vertices: np.ndarray, start: np.ndarray | None = None) -> tup
     P = np.asarray(vertices, dtype=float)
     if P.ndim not in (2, 3) or P.shape[-2] == 0 or (P.ndim == 3 and start is not None):
         raise ValueError("vertices must be a nonempty (m, k) hull or a (B, m, k) stack without start")
+    if (e := _exponent(P)) is not None:
+        points, weights = min_norm_point(np.ldexp(P, -e[..., None, None]), start)
+        return np.ldexp(points, e[..., None]), weights
     if P.ndim == 3:
         B, m, k = P.shape
         points, weights, alone = np.empty((B, k)), np.empty((B, m)), range(B)
@@ -106,8 +113,13 @@ def min_norm_point(vertices: np.ndarray, start: np.ndarray | None = None) -> tup
             except (np.linalg.LinAlgError, FloatingPointError):
                 pass  # a singular or overflowing Gram matrix: lstsq copes with it
         for b in alone:
-            points[b], weights[b] = min_norm_point(P[b])
+            points[b], weights[b] = _wolfe(P[b])
         return points, weights
+    return _wolfe(P, start)
+
+
+def _wolfe(P: np.ndarray, start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The hull-by-hull loop: ``min_norm_point`` of one checked ``(m, k)`` hull, as given."""
     sq = np.einsum("ij,ij->i", P, P)
     if not np.isfinite(sq).all():
         raise NonFinite("vertex set has non-finite entries or squared norms")
@@ -176,6 +188,15 @@ def min_norm_point(vertices: np.ndarray, start: np.ndarray | None = None) -> tup
         Q = P[corral]
 
     return x, np.bincount(corral, lam, minlength=m)
+
+
+def _exponent(P: np.ndarray) -> np.ndarray | None:
+    """Per hull of ``P``, the ``e <= 0`` with which ``2**-e`` puts a largest |entry| below
+    1/2 exactly into [1/2, 1), else 0, so no hull is scaled down; None if all are 0."""
+    top = np.abs(P).max(axis=(-2, -1), initial=0.0)
+    if top.min(initial=0.5) < 0.5 and (e := np.minimum(np.frexp(top)[1], 0)).any():
+        return e
+    return None
 
 
 def _lockstep(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -62,13 +62,16 @@ def _merge_duplicates(rows: np.ndarray) -> np.ndarray:
     return rows[first]
 
 
-def _minkowski(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All pairwise sums of rows, first factor slowest."""
-    n = A.shape[0] * B.shape[0]
-    if n > MAX_PIECES:
-        raise SizeOverflow(f"piece count {n} exceeds cap {MAX_PIECES}")
-    out = (A[:, None, :] + B[None, :, :]).reshape(n, A.shape[1])
-    return _merge_duplicates(out)
+def _minkowski(A: np.ndarray, *Bs: np.ndarray) -> np.ndarray:
+    """Minkowski sum of the row sets ``A, *Bs``, folded left: all sums of one
+    row from each, the first factor slowest, with each step's piece count
+    checked against ``MAX_PIECES`` and its exact duplicates merged."""
+    for B in Bs:
+        n = A.shape[0] * B.shape[0]
+        if n > MAX_PIECES:
+            raise SizeOverflow(f"piece count {n} exceeds cap {MAX_PIECES}")
+        A = _merge_duplicates((A[:, None, :] + B[None, :, :]).reshape(n, A.shape[1]))
+    return A
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -301,12 +304,7 @@ def _common_dim(fs) -> int:
 def codiff_sum(fs) -> DCForm:
     """DCForm of ``sum(fs)``: Minkowski sums of both parts."""
     d = _common_dim(fs)
-    plus = fs[0].plus
-    minus = fs[0].minus
-    for g in fs[1:]:
-        plus = _minkowski(plus, g.plus)
-        minus = _minkowski(minus, g.minus)
-    return DCForm(d, plus, minus)
+    return DCForm(d, _minkowski(*(g.plus for g in fs)), _minkowski(*(g.minus for g in fs)))
 
 
 def codiff_max(fs) -> DCForm:
@@ -314,17 +312,8 @@ def codiff_max(fs) -> DCForm:
     plus one negated min piece of every other operand, merged once, over
     the Minkowski sum of all min parts."""
     d = _common_dim(fs)
-    plus = []
-    for m, fm in enumerate(fs):
-        acc = fm.plus
-        for k, fk in enumerate(fs):
-            if k != m:
-                acc = _minkowski(acc, -fk.minus)
-        plus.append(acc)
-    minus = fs[0].minus
-    for g in fs[1:]:
-        minus = _minkowski(minus, g.minus)
-    return DCForm(d, _merge_duplicates(np.vstack(plus)), minus)
+    plus = [_minkowski(fm.plus, *(-fk.minus for k, fk in enumerate(fs) if k != m)) for m, fm in enumerate(fs)]
+    return DCForm(d, _merge_duplicates(np.vstack(plus)), _minkowski(*(g.minus for g in fs)))
 
 
 def codiff_min(fs) -> DCForm:

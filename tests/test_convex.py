@@ -16,6 +16,7 @@ from codescent import (
     SizeOverflow,
     SmoothConvex,
     check_amenable,
+    codiff_sum,
     check_lipschitz_approx,
     evaluate,
     global_codiff,
@@ -69,6 +70,33 @@ def test_hypo_sum_examples():
         ConvexCombination([])
     with pytest.raises(DimensionMismatch):
         ConvexCombination([(1.0, f), (1.0, sq_half())])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), n=st.integers(2, 4))
+def test_combination_is_codiff_sums_fold(data, d, n):
+    # one Minkowski fold for both calculi: a combination's hypodifferential is
+    # codiff_sum's max part of the weighted hypodifferentials, from the zero row
+    ints = st.integers(-3, 3)
+
+    def quadratic():
+        A = np.array(data.draw(st.lists(ints, min_size=d * d, max_size=d * d)), float).reshape(d, d)
+        return Quadratic(A @ A.T, data.draw(st.lists(ints, min_size=d, max_size=d)))
+
+    def term():
+        if data.draw(st.booleans()):
+            return quadratic()
+        qs = [quadratic() for _ in range(data.draw(st.integers(1, 2)))]
+        return MaxOf(qs + qs[: data.draw(st.integers(0, len(qs)))])  # repeats give coincident vertices
+
+    terms = [(data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])), term()) for _ in range(n)]
+    x = np.array(data.draw(st.lists(ints, min_size=d, max_size=d)), float)
+    fx, H = ConvexCombination(terms).value_and_hypodiff(x)
+    zero = np.zeros((1, d + 1))
+    forms = [DCForm(d, w * f.value_and_hypodiff(x)[1], zero) for w, f in terms]
+    plus = codiff_sum([DCForm(d, zero, zero), *forms]).plus
+    assert H.shape == plus.shape and H.tobytes() == plus.tobytes()
+    assert fx == ConvexCombination(terms).value(x)
 
 
 def test_hypo_max_affine_pair():

@@ -742,6 +742,19 @@ def test_run_certificate_is_check_global_opts(d, l, s, method):
     assert np.array_equal(run.certificate.a_values, check_global_opt(f, run.final_x)[1].a_values)
 
 
+@pytest.mark.parametrize("method", [mgcd_run, mcd_run])
+def test_project_piece_is_the_runs_projection(method):
+    # from STACK_MIN pieces on the lockstep loop projects the stack, and
+    # project_piece reads its row, not a hull-by-hull projection
+    d, l, s = 6, 40, minnorm.STACK_MIN
+    f = generate_pa(0, d, l, s)
+    run = method(f, random_start(0, d))
+    assert run.status == "global_min"
+    for rec in run.records:
+        for j, p in rec.projections.items():
+            assert project_piece(f, rec.x, j).tobytes() == p.tobytes()
+
+
 def test_one_projection_call_per_anchor(monkeypatch):
     calls = []
 

@@ -8,6 +8,7 @@ from codescent import (
     NonFinite,
     global_codiff,
     min_norm_point,
+    minnorm,
     wolfe_residual,
     worked_example,
 )
@@ -92,6 +93,29 @@ def test_scale_equivariance(P, e):
     scaled, _ = min_norm_point(c * P)
     hull_scale = c * max(1.0, float(np.abs(P).max()))
     assert np.linalg.norm(scaled - c * point) <= 1e-9 * hull_scale
+
+
+#: hulls on the grid 2**-8 up to 16, so 2**k * P is exact and normal down to k = -1000
+grid_hulls = st.tuples(st.integers(1, 12), st.integers(1, 6)).flatmap(
+    lambda shape: hnp.arrays(float, shape, elements=st.integers(-2**12, 2**12).map(lambda i: i / 2**8))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(P=grid_hulls, k=st.integers(-1000, 500), stack=st.booleans())
+# below about 2**-537 the squares underflow to 0 and the first vertex came back
+@example(P=np.array([[1.0, 2.0], [-1.0, 0.5]]), k=-1000, stack=False)
+@example(P=np.array([[1.0, 2.0], [-1.0, 0.5]]), k=-1000, stack=True)
+def test_power_of_two_scaling_is_exact(P, k, stack):
+    """min_norm_point(2**k P) = 2**k min_norm_point(P), bit for bit, and the
+    weights are the same: tiny hulls are solved scaled up."""
+    c = 2.0**k
+    if stack:  # the lockstep loop's stacks
+        P = np.stack([P + i for i in range(minnorm.STACK_MIN)])
+    point, w = min_norm_point(P)
+    scaled, scaled_w = min_norm_point(c * P)
+    assert scaled.tobytes() == (c * point).tobytes()
+    assert scaled_w.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6])

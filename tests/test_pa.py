@@ -271,9 +271,15 @@ def test_codiff_scale(rng):
 
 
 @settings(max_examples=80, deadline=None)
-@given(k=st.integers(-100, 100), tree=st.none() | st.integers(0, 2**32 - 1))
+@given(k=st.integers(-1000, 500), tree=st.none() | st.integers(0, 2**32 - 1))
 @example(k=-40, tree=None)  # distinct rows closer than 1e-12 must not merge
 @example(k=-41, tree=None)
+# below about 2**-537 squared entries underflow to 0, and MGCD and MCD took
+# (2, 2) for a global minimum; projections are made scaled up
+@example(k=-600, tree=None)
+@example(k=-1000, tree=None)
+@example(k=-1000, tree=3)
+@example(k=500, tree=None)
 def test_power_of_two_scaling_is_exact(k, tree):
     # c = 2**k scales every float exactly, so the calculus, both runs and the
     # oracle on c * f must give the answers for f, scaled bit for bit
@@ -295,6 +301,21 @@ def test_power_of_two_scaling_is_exact(k, tree):
     assert scaled_lp.status == lp.status
     if lp.bounded:
         assert scaled_lp.value == c * lp.value
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3))
+def test_codiff_sum_folds_left(data, d):
+    # an n-ary sum is the pairwise sums folded left, row order and merges included
+    def form():
+        l, s = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        return DCForm(d, *(data.draw(arrays(np.int64, (n, d + 1), elements=st.integers(-2, 2))) for n in (l, s)))
+
+    f, g, h = form(), form(), form()
+    three, nested = codiff_sum([f, g, h]), codiff_sum([codiff_sum([f, g]), h])
+    for part in ("plus", "minus"):
+        a, b = getattr(three, part), getattr(nested, part)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_codiff_sum_identity_and_pointwise(rng):
