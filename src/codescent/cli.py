@@ -130,7 +130,7 @@ def cmd_solve(args) -> int:
     verified = None
     if run.status == "global_min":
         lp = pa_global_min(f)
-        # the run's tol, derived at x0 unless --tol gave it
+        # the certificate's tol, derived at the final point unless --tol gave it
         verified = lp.bounded and abs(run.final_f - lp.value) <= run.certificate.tol
         if not verified:
             _progress(f"VERIFICATION FAILED: claimed {run.final_f}, oracle {lp.value if lp.bounded else 'unbounded'}")

@@ -16,8 +16,9 @@ once per run, ``check_global_opt`` and ``classify_nonnegative`` (the sign
 of a max of affine pieces) before any projection is read.
 
 ``mgcd_run`` iterates exactly this, maintaining the active index set;
-once every index is discarded a per-index certificate is attached, and
-the run claims a *global* minimum only if that certificate holds.
+once every index is discarded, or the best step does not lower ``f`` by
+more than ``tol``, a per-index certificate is attached, and the run
+claims a *global* minimum only if that certificate holds.
 ``mcd_run`` is the classic variant: it keeps all indices with hyper
 offset at most ``mu`` and moves to the best exact line search along
 their directions; ``line_search_pa`` reads ``f`` off its two envelopes
@@ -27,14 +28,15 @@ Both are one loop, ``_descend``, with two step rules.  It anchors each
 iterate, value included, with ``global_codiff`` and projects all s
 pieces there in one ``min_norm_point`` call on the stack of translates
 ``H(x) + z_j(x)``; a step reads the pieces it needs from that array and
-only steps, and ``_descend`` alone reads the final certificate off it, as
-``check_global_opt`` does, and sets the run's status.  ``_unbounded_ray``
+only proposes a move, which ``_descend`` alone takes if it lowers ``f`` by
+more than ``tol``, else reading the final certificate off the array, as
+``check_global_opt`` does, and setting the run's status.  ``_unbounded_ray``
 projects the s gradient hulls ``conv{v_i + w_j}`` the same way, in one
 call.  Both runs serialize to JSON and CSV.
 
-No threshold is absolute: every "is this zero?" reads against one
-``tol``, checked or by default set to ``1e-9`` times the data scale by
-``pa._default_tol``, or against float rounding, so ``c * f`` runs as ``f``.
+No threshold is absolute: every "is this zero?" reads against one ``tol``, checked
+or ``1e-9`` times the data scale at the point read (``pa._default_tol``), each anchor
+in turn, or against float rounding, so ``c * f`` runs as ``f``.
 """
 
 from __future__ import annotations
@@ -108,11 +110,12 @@ class GlobalRun:
     ``status`` is one of ``"global_min"``, ``"unbounded_below"``,
     ``"inf_stationary"`` (MCD stalled at a point its certificate does not
     accept: with a finite ``mu``, or with ``mu = inf`` at ``tol = 0``,
-    where rounding reads as descent), ``"undecided"`` (MGCD discarded
-    every piece, yet its own certificate at the final point does not
-    hold) or ``"iter_limit"``.  Each iterate is its record's ``x``, and
-    ``iterates`` reads them.  ``to_dict`` carries every field, the
-    ``iterates`` and the ``discard_log``; ``to_csv`` has one row per iterate.
+    where rounding reads as descent), ``"undecided"`` (MGCD discarded every
+    piece, or its best step does not lower ``f`` by more than ``tol``, yet its
+    own certificate at the final point does not hold) or ``"iter_limit"``.
+    Each iterate is its record's ``x``, and ``iterates`` reads them.  ``to_dict``
+    carries every field, the ``iterates`` and the ``discard_log``; ``to_csv``
+    has one row per iterate.
     """
 
     method: str
@@ -340,19 +343,19 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step,
     a run's certificate and status.
 
     Each iterate, ``x0`` included, is anchored first (a point where ``f``
-    overflows raises ``NonFinite``); its record's ``f`` is ``gc.value``,
-    and ``tol`` is read through ``pa._default_tol`` there (checked or derived
-    at ``x0``, then fixed), so the run on ``c * f`` is the run on ``f``.  A
-    function that ``_unbounded_ray`` shows unbounded below ends it at ``x0``.
-    Otherwise each iterate gets a record, all s pieces are projected in
-    one call, and ``step(gc, points, rec, run, tol)`` sees it anchored in
-    ``gc``, with row j of ``points`` the minimum-norm element
-    ``(a_j, v_j)`` of ``H(x) + z_j(x)``; the step fills the record and
-    returns the next point, or None to stop, having set ``run.ray`` if its
-    line search found one; a stop without a ray reads the certificate off
-    ``points``.  The status is ``unbounded_below`` with a ray, ``iter_limit``
-    with no certificate (after ``max_iter`` steps), ``global_min`` when the
-    certificate holds and ``stall`` otherwise.
+    overflows raises ``NonFinite``); its record's ``f`` is ``gc.value``, and
+    the caller's ``tol`` is read there as ``check_global_opt`` reads it (an
+    explicit one as given, ``None`` derived at this anchor), so the run on
+    ``c * f`` is the run on ``f``.  A function that ``_unbounded_ray`` shows
+    unbounded below ends it at ``x0``.  Otherwise all s pieces are projected
+    in one call, and ``step(gc, points, rec, run, tol)`` sees the iterate
+    anchored in ``gc``, with row j of ``points`` the minimum-norm element
+    ``(a_j, v_j)`` of ``H(x) + z_j(x)``; it proposes ``(j, alpha, next point,
+    its value)``, or None, having set ``run.ray`` if its line search found one.
+    The one stop rule: a move that lowers ``f`` by more than ``tol`` is taken,
+    else a stop without a ray reads the certificate off ``points``.  The status
+    is ``unbounded_below`` with a ray, ``iter_limit`` with no certificate
+    (after ``max_iter`` steps), ``global_min`` when it holds and ``stall`` otherwise.
     """
     if (max_iter := operator.index(max_iter)) < 0:
         raise ValueError("max_iter must be >= 0")
@@ -360,16 +363,17 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step,
     run = GlobalRun(method=method, ray=_unbounded_ray(f))
     for n in range(max_iter + 1):
         gc = global_codiff(f, x)
-        tol = _default_tol(gc.value, gc.hypo, gc.hyper, tol=tol)
+        tol_x = _default_tol(gc.value, gc.hypo, gc.hyper, tol=tol)
         rec = IterationRecord(n=n, x=x, f=gc.value)
         run.records.append(rec)
         if run.ray is not None or n == max_iter:
             break
         points = min_norm_point(gc.hypo + gc.hyper[:, None])[0]
-        if (x := step(gc, points, rec, run, tol)) is None:
+        if (move := step(gc, points, rec, run, tol_x)) is None or move[3] >= rec.f - tol_x:
             if run.ray is None:
-                run.certificate = Certificate(point=gc.at, a_values=points[:, 0], tol=tol)
+                run.certificate = Certificate(point=gc.at, a_values=points[:, 0], tol=tol_x)
             break
+        rec.chosen_j, rec.alpha, x, _ = move
     run.status = ("unbounded_below" if run.ray is not None else "iter_limit" if run.certificate is None
                   else "global_min" if run.certificate.is_global else stall)
     return run
@@ -387,9 +391,10 @@ def mgcd_run(
     Per iteration, every piece is projected in one stacked call; the
     still-active ones are read: indices with ``a_j >= -tol`` are discarded
     permanently, and the step ``x + v_j / a_j`` of the best remaining index
-    is taken (ties to the lowest index).  Once the active set is empty
-    the run ends with status ``global_min`` if the certificate at the
-    final point holds, and ``undecided`` otherwise.  A discarded index
+    is taken (ties to the lowest index).  Once the active set is empty, or
+    that step does not lower ``f`` by more than ``tol``, the run ends with
+    status ``global_min`` if the certificate at the final point holds, and
+    ``undecided`` otherwise.  A discarded index
     never becomes useful again, which is what bounds the number of steps;
     ``run.discard_log`` records when each index went, so callers can check
     that property.
@@ -400,12 +405,9 @@ def mgcd_run(
         rec.projections = {j: points[j] for j in active}
         rec.discarded += [j for j in active if points[j, 0] >= -tol]
         active[:] = [j for j in active if j not in rec.discarded]
-        if not active:
-            return None
         trials = {j: rec.x + points[j, 1:] / points[j, 0] for j in active}
-        values = {j: evaluate(f, y) for j, y in trials.items()}
-        rec.chosen_j = min(values, key=values.get)
-        return trials[rec.chosen_j]
+        moves = [(j, None, y, evaluate(f, y)) for j, y in trials.items()]
+        return min(moves, key=operator.itemgetter(3), default=None)
 
     return _descend("mgcd", f, x0, tol, max_iter, step, "undecided")
 
@@ -422,9 +424,9 @@ def mcd_run(
     Candidate indices are those with hyper offset at most ``mu``
     (``mu >= 0``; ``mu = inf`` keeps all of them, the variant with finite
     global convergence).  Every candidate direction ``-v_j`` is line
-    searched exactly and the best endpoint is taken; the run stops when
-    no candidate yields descent.  With ``mu = inf`` the stall point is a
-    certified global minimum, unless ``tol = 0`` lets an ``a_j`` a few ulps
+    searched exactly and the best endpoint is taken; the run stops when it
+    does not lower ``f`` by more than ``tol``.  With ``mu = inf`` the stall point
+    is a certified global minimum, unless ``tol = 0`` lets an ``a_j`` a few ulps
     below zero fail the certificate there (the worked example from (2, 2)
     ends ``inf_stationary`` at its minimum); with a finite ``mu`` it may be
     merely inf-stationary, and the attached certificate distinguishes the two.
@@ -449,10 +451,7 @@ def mcd_run(
                     run.ray = -vj / norm
                     return None
 
-        best = min(searches, key=lambda j: searches[j].value, default=None)
-        if best is None or searches[best].value >= rec.f - tol:
-            return None
-        rec.chosen_j, rec.alpha = best, searches[best].alpha
-        return rec.x - rec.alpha * points[best, 1:]
+        moves = [(j, ls.alpha, rec.x - ls.alpha * points[j, 1:], ls.value) for j, ls in searches.items()]
+        return min(moves, key=operator.itemgetter(3), default=None)
 
     return _descend("mcd", f, x0, tol, max_iter, step, "inf_stationary")

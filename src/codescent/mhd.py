@@ -18,6 +18,7 @@ exact search terminates finitely).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -178,7 +179,7 @@ def mhd_run(
         trace.stop_tol = _default_tol(fx, H, tol=trace.stop_tol)  # derived at x0, then explicit
         point, w = min_norm_point(H, start=w if w.size == len(H) else None)
         a, v = float(point[0]), point[1:]
-        nrm = float(np.linalg.norm(point))
+        nrm = math.hypot(*point)  # np.linalg.norm underflows to 0 on a tiny hull
         alpha = k = status = None
         if nrm <= trace.stop_tol:
             status = "stationary"
@@ -186,6 +187,8 @@ def mhd_run(
             status = "iter_limit"
         elif exact_line_search is not None:
             alpha = float(exact_line_search(x, v))
+        elif nrm * nrm == 0.0:  # the decrease the Armijo test demands underflows
+            status = "float_floor"
         else:
             try:
                 alpha, k = armijo_step(f, x, fx, v, nrm * nrm, cfg)

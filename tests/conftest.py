@@ -8,7 +8,7 @@ the convex minimizer delegates to SciPy's SLSQP on the epigraph.
 import numpy as np
 import pytest
 
-from codescent import pa, project_piece
+from codescent import check_global_opt, pa, project_piece
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +110,15 @@ def explicit_step_value(f, rec, tol):
     what MGCD's step would reach from the same point."""
     return min((pa.evaluate(f, rec.x + p[1:] / p[0]) for p in rec.projections.values() if p[0] < -tol),
                default=None)
+
+
+def assert_certificate_is_check_global_opts(f, run):
+    """A finished run's certificate is ``check_global_opt``'s at its final
+    point: the same projections bit for bit, read at the same tol to the
+    same verdict."""
+    ok, cert = check_global_opt(f, run.final_x)
+    assert run.certificate.a_values.tobytes() == cert.a_values.tobytes()
+    assert (run.certificate.tol, run.certificate.is_global) == (cert.tol, ok)
 
 
 def instance_grid(n_seeds=10):

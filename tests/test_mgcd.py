@@ -32,7 +32,7 @@ from codescent import (
 )
 from codescent import mgcd, minnorm
 from codescent.mgcd import LineSearchResult
-from conftest import discard_violations, explicit_step_value, instance_grid
+from conftest import assert_certificate_is_check_global_opts, discard_violations, explicit_step_value, instance_grid
 
 X0 = np.array([2.0, 2.0])
 EXACT_PROJ = np.array([-1.0 / 9.0, 2.0 / 9.0, 2.0 / 9.0])
@@ -480,25 +480,45 @@ def test_scaled_instance_certified(method, k):
     run = method(f, [1.0, 2.0, -1.0], max_iter=100_000)
     assert run.status == "global_min"
     assert run.final_f / c == pytest.approx(-4.2, abs=1e-6)
+    assert_certificate_is_check_global_opts(f, run)
 
 
 @pytest.mark.xfail(strict=True, reason="tol grows with the offsets far from the data (ROADMAP item 2)")
 @pytest.mark.parametrize("method", [mgcd_run, mcd_run])
 def test_no_false_certificate_far_from_data(method):
-    # the default tol is 1e-9 times the offsets at x0, 8e-3 at (1e6, 1e6);
-    # MGCD then certifies f = 4,999,995 and MCD f = 1,000,006
+    # the default tol is 1e-9 times the offsets where it is read: 8e-3 at
+    # (1e6, 1e6), and 8e-3 and 1.6e-3 at the final points where MGCD
+    # certifies f = 4,999,995 and MCD f = 1,000,006
     f = generate_pa(0, 2, 4, 1)
     fstar = pa_global_min(f).value  # 6.5
     run = method(f, [1e6, 1e6])
     assert not (run.status == "global_min" and run.final_f > fstar + 1)
 
 
+@pytest.mark.xfail(strict=True, reason="a_j >= -tol reads a piece 1e-4 below zero as settled (ROADMAP item 1)")
+@pytest.mark.parametrize("certify", [mgcd_run, mcd_run, check_global_opt])
+def test_no_false_certificate_near_data(certify):
+    # f(x) = max(x, -1e-4 + 1e-8 x, -1e6) is -1e6 from about x = -1e14 down;
+    # at x = 0 the default tol is 1e-9 times the far row's offset, 1e-3, and
+    # the minimum-norm point is about (-1e-4, 1e-8), so all three certify
+    # f = 0.  pa_global_min reports -999,999.9939 (ROADMAP item 7), so the
+    # reference is the analytic minimum
+    f = DCForm(1, [[0, 1], [-1e-4, 1e-8], [-1e6, 0]], [[0, 0]])
+    if certify is check_global_opt:
+        certified, value = certify(f, [0.0])[0], evaluate(f, [0.0])
+    else:
+        run = certify(f, [0.0])
+        certified, value = run.status == "global_min", run.final_f
+    assert not (certified and value > -1e6 + 1)
+
+
 @pytest.mark.xfail(strict=True, reason="tol = 0 reads rounding as descent (ROADMAP item 2)")
 @pytest.mark.parametrize("method", [mgcd_run, mcd_run])
 def test_zero_tol_certifies_worked_example(method):
-    # a valid tol of 0: MGCD keeps some a_j a few ulps below 0 near
-    # (1e-14, 9e-15) and steps until iter_limit; MCD with mu = inf stops at
-    # the minimum with inf_stationary, a status meant for a finite mu
+    # a valid tol of 0: MGCD's step lands at (8.9e-16, 8.9e-16), where some
+    # a_j is a few ulps below 0 and its best step does not lower f, so it
+    # stops undecided after 1 step; MCD with mu = inf stops at the minimum
+    # with inf_stationary, a status meant for a finite mu
     run = method(worked_example(), [2.0, 2.0], tol=0.0)
     assert run.status == "global_min"
 
@@ -728,6 +748,7 @@ def test_mgcd_certificate_matches_check_global_opt():
         run = mgcd_run(f, random_start(seed, d))
         _, cert = check_global_opt(f, run.final_x)
         assert np.allclose(run.certificate.a_values, cert.a_values, rtol=0.0, atol=1e-12)
+        assert_certificate_is_check_global_opts(f, run)
 
 
 @pytest.mark.parametrize("method", [mgcd_run, mcd_run])
@@ -740,6 +761,34 @@ def test_run_certificate_is_check_global_opts(d, l, s, method):
     run = method(f, random_start(0, d))
     assert run.status == "global_min"
     assert np.array_equal(run.certificate.a_values, check_global_opt(f, run.final_x)[1].a_values)
+    assert_certificate_is_check_global_opts(f, run)
+
+
+@pytest.mark.parametrize("method", [mgcd_run, mcd_run])
+def test_worked_example_certificate_is_check_global_opts(method):
+    # a tol derived at (2, 2), 4e-9, was carried to the minimum, where
+    # check_global_opt derives 8e-9
+    assert_certificate_is_check_global_opts(worked_example(), method(worked_example(), X0))
+
+
+@pytest.fixture(scope="module")
+def grid_minima():
+    return {(d, l, s, seed): pa_global_min(generate_pa(seed, d, l, s)).value for d, l, s, seed in GRID}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_far_start_certificate_is_check_global_opts(k, grid_minima):
+    # started 10**k from x0 along x0, runs that carried x0's tol to every
+    # anchor claimed global_min above the minimum (8 MGCD runs at k = 3, 13
+    # MGCD and 1 MCD at k = 4) at points where check_global_opt, reading the
+    # same projections at its own tol, rejects them
+    for (d, l, s, seed), fstar in grid_minima.items():
+        f, x0 = generate_pa(seed, d, l, s), random_start(seed, d)
+        for method in (mgcd_run, mcd_run):
+            run = method(f, x0 + 10.0**k * (x0 / np.linalg.norm(x0)))
+            assert run.status != "iter_limit"
+            assert not (run.status == "global_min" and run.final_f > fstar + 1e-6 * max(1.0, abs(fstar)))
+            assert_certificate_is_check_global_opts(f, run)
 
 
 @pytest.mark.parametrize("method", [mgcd_run, mcd_run])
@@ -808,7 +857,7 @@ CERT_KEYS = {"point", "a_values", "tol", "is_global", "ray"}
 
 
 @pytest.mark.parametrize(
-    "method, discard_log, discarded, alpha, a_values",
+    "method, discard_log, discarded, alpha, a_values, tol",
     [
         (
             mgcd_run,
@@ -816,12 +865,13 @@ CERT_KEYS = {"point", "a_values", "tol", "is_global", "ray"}
             [[1, 3, 4, 5, 6, 7], [0, 2]],
             None,
             [0, 0, 0, 0, 0, 1 / 9, 0, 1 / 9],
+            7.999999999999999e-09,
         ),
-        (mcd_run, [], [[], []], 9.0, [0, 0, 0, 0, 0, 1 / 9, 0, 1 / 9]),
+        (mcd_run, [], [[], []], 9.0, [0, 0, 0, 0, 0, 1 / 9, 0, 1 / 9], 8e-09),
     ],
     ids=["mgcd", "mcd"],
 )
-def test_global_run_json_pinned(method, discard_log, discarded, alpha, a_values):
+def test_global_run_json_pinned(method, discard_log, discarded, alpha, a_values, tol):
     data = json.loads(json.dumps(method(worked_example(), X0).to_dict()))
     assert set(data) == RUN_KEYS
     assert (data["method"], data["status"], data["ray"]) == (method.__name__[:-4], "global_min", None)
@@ -840,8 +890,9 @@ def test_global_run_json_pinned(method, discard_log, discarded, alpha, a_values)
 
     cert = data["certificate"]
     assert set(cert) == CERT_KEYS
-    # 1e-9 times the data scale at x0, the largest |offset| of its codifferential
-    assert (cert["tol"], cert["is_global"], cert["ray"]) == (4e-9, True, None)
+    # 1e-9 times the data scale at the final point, the largest |offset| of
+    # its codifferential (8, less a rounding ulp on MGCD's explicit step)
+    assert (cert["tol"], cert["is_global"], cert["ray"]) == (tol, True, None)
     assert np.allclose(cert["point"], [0.0, 0.0], rtol=0.0, atol=1e-12)
     assert np.allclose(cert["a_values"], a_values, rtol=0.0, atol=1e-12)
 

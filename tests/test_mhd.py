@@ -202,6 +202,17 @@ def test_default_stop_tol_is_recorded():
     assert mhd_run(fn, x0, MHDConfig(stop_tol=1e-3, max_iter=0)).stop_tol == 1e-3
 
 
+@pytest.mark.parametrize("k", [-540, -600, -900, -1000])
+def test_tiny_scale_is_not_stationary(k):
+    # the minimum is 0; from (3, 2), at f = 4 * 2**k, np.linalg.norm read the
+    # minimum-norm element as 0.0 and claimed stationary after 0 steps, and
+    # the squared norm that Armijo's test demands a decrease of underflows
+    fn = ConvexCombination([(2.0**k, MaxOf([linear((1, 0.5)), linear((-1, 0.25)), linear((0, -1))]))])
+    trace = mhd_run(fn, [3.0, 2.0])
+    assert trace.status == "float_floor"
+    assert trace.steps[-1].norm > trace.stop_tol > 0
+
+
 def test_overflowing_value_raises():
     # each child value is finite, their weighted sum is not; a value of inf
     # was certified as stationary, with a derived stop_tol of inf

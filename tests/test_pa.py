@@ -32,7 +32,7 @@ from codescent import (
 )
 from codescent.pa import _default_tol, _merge_duplicates
 from codescent.problems import WORKED_EXAMPLE_HYPER, WORKED_EXAMPLE_HYPO
-from conftest import random_expr
+from conftest import assert_certificate_is_check_global_opts, random_expr
 
 ABS_X = DCForm(1, np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([[0.0, 0.0]]))
 
@@ -297,6 +297,9 @@ def test_power_of_two_scaling_is_exact(k, tree):
         assert scaled.status == run.status
         assert scaled.final_x.tobytes() == run.final_x.tobytes()
         assert scaled.final_f == c * run.final_f
+        for h, r in ((f, run), (g, scaled)):
+            if r.certificate is not None:
+                assert_certificate_is_check_global_opts(h, r)
     lp, scaled_lp = pa_global_min(f), pa_global_min(g)
     assert scaled_lp.status == lp.status
     if lp.bounded:
