@@ -13,10 +13,10 @@ Machine output goes to stdout (or ``--out``); progress and human
 narration go to stderr.  Exit codes: 0 success / certified global
 minimum, 1 failed verification, a negative certificate or an
 ``undecided`` run, 2 unbounded below, 3 iteration limit, 4 input or
-usage error, 5 MCD stalled at a point its certificate does not accept
-(a non-global inf-stationary point with finite ``mu``, or the minimum
-itself at ``tol = 0``), 6 a numerical solver failed (``NoConvergence``
-or ``Degenerate``).
+usage error, 5 MCD stalled at a point its certificate does not accept (finite
+``mu``, or ``mu = inf`` where no line search lowers f by more than ``tol`` though
+a piece is not settled, as at the minimum itself at ``tol = 0``), 6 a
+numerical solver failed (``NoConvergence`` or ``Degenerate``).
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ For a DCForm ``f`` anchored at ``x``, each min-part index ``j`` owns a
 shifted hypodifferential ``H(x) + z_j(x)`` whose minimum-norm element
 ``(a_j(x), v_j(x))`` encodes everything the method needs:
 
-* ``a_j >= 0``            — the piece can never certify descent again
-  anywhere below the current level set, so it is discarded for good;
-* ``a_j < 0``             — the step ``x + v_j / a_j`` decreases ``f``
-  by at least ``|a_j| + ||v_j||^2 / |a_j|``.
+* ``a_j < 0`` — the step ``x + v_j / a_j`` decreases ``f`` by at least
+  ``|a_j| + ||v_j||^2 / |a_j|``, which is ``||p_j||^2 / |a_j|`` for ``p_j = (a_j, v_j)``;
+* settled (``_settled``) — ``a_j >= 0``, that decrease is at most ``tol``, or ``p_j`` is
+  rounding: MGCD discards the piece for good, and all pieces settled certify the point.
 
 Both readings assume ``f`` bounded below.  ``f`` is unbounded below
 exactly when some piece's gradient hull ``conv{v_i + w_j}`` misses the
@@ -56,23 +56,27 @@ from .pa import DCForm, GlobalCodiff, _check_point, _csv_text, _default_tol, _re
 class Certificate:
     """Per-index optimality record at a point.
 
-    ``a_values[j]`` is the offset of the minimum-norm element of
-    ``H(x) + z_j(x)``; the point is a global minimum iff all of them
-    are at least ``-tol`` and ``f`` is bounded below, i.e. no ``ray``
-    of unboundedness was found.
+    Row j of ``points`` is the minimum-norm element ``(a_j, v_j)`` of
+    ``H(x) + z_j(x)``, and ``a_values`` its offsets; the point is a global
+    minimum iff every row is settled at ``tol`` (``_settled``) and ``f`` is
+    bounded below, i.e. no ``ray`` of unboundedness was found.
     """
 
     point: np.ndarray
-    a_values: np.ndarray
+    points: np.ndarray
     tol: float
     ray: np.ndarray | None = None
 
     @property
+    def a_values(self) -> np.ndarray:
+        return self.points[:, 0]
+
+    @property
     def is_global(self) -> bool:
-        return self.ray is None and bool(np.min(self.a_values) >= -self.tol)
+        return self.ray is None and bool(_settled(self.points, self.tol).all())
 
     def to_dict(self) -> dict:
-        return _record_dict(self, is_global=self.is_global)
+        return _record_dict(self, a_values=self.a_values, is_global=self.is_global)
 
 
 @dataclass(frozen=True)
@@ -108,10 +112,10 @@ class GlobalRun:
     """Outcome of an MGCD or MCD run.
 
     ``status`` is one of ``"global_min"``, ``"unbounded_below"``,
-    ``"inf_stationary"`` (MCD stalled at a point its certificate does not
-    accept: with a finite ``mu``, or with ``mu = inf`` at ``tol = 0``,
-    where rounding reads as descent), ``"undecided"`` (MGCD discarded every
-    piece, or its best step does not lower ``f`` by more than ``tol``, yet its
+    ``"inf_stationary"`` (MCD stalled at a point its certificate does not accept:
+    with a finite ``mu``, or with ``mu = inf`` where no line search lowers ``f`` by
+    more than ``tol`` though a piece is not settled), ``"undecided"`` (MGCD discarded
+    every piece, or its best step does not lower ``f`` by more than ``tol``, yet its
     own certificate at the final point does not hold) or ``"iter_limit"``.
     Each iterate is its record's ``x``, and ``iterates`` reads them.  ``to_dict``
     carries every field, the ``iterates`` and the ``discard_log``; ``to_csv``
@@ -177,6 +181,16 @@ def project_piece(f: DCForm, x, j: int) -> np.ndarray:
     return min_norm_point(gc.hypo + gc.hyper[:, None])[0][j]
 
 
+def _settled(points: np.ndarray, tol: float) -> np.ndarray:
+    """Per row ``p_j = (a_j, v_j)``: ``a_j >= 0``, or the decrease ``||p_j||^2 / |a_j|`` its step
+    ``x + v_j / a_j`` guarantees is at most ``tol``, or ``p_j`` is rounding, no longer than 64 ulps of
+    ``tol / 1e-9``, the data scale of a default ``tol``.  Rows are read in their own power of two."""
+    p = np.ldexp(points, -(e := np.frexp(np.abs(points).max(axis=1))[1] - 1)[:, None])
+    norm2 = (p * p).sum(axis=1)
+    rounding = np.ldexp(np.sqrt(norm2), e) <= 64e9 * 2.0**-52 * tol
+    return (p[:, 0] >= 0) | (np.ldexp(norm2, e) <= tol * -p[:, 0]) | rounding
+
+
 def _unbounded_ray(f: DCForm) -> np.ndarray | None:
     """Unit ray along which ``f`` is unbounded below, or None.
 
@@ -202,16 +216,16 @@ def _unbounded_ray(f: DCForm) -> np.ndarray | None:
 def check_global_opt(f: DCForm, x, tol: float | None = None) -> tuple[bool, Certificate]:
     """Global-minimality test at ``x``.
 
-    Projects every shifted hypodifferential and accepts iff all offsets
-    ``a_j(x)`` are at least ``-tol`` and ``f`` is bounded below; when it
+    Projects every shifted hypodifferential and accepts iff every piece is
+    settled at ``tol`` (``_settled``) and ``f`` is bounded below; when it
     is not, the certificate carries the ray along which ``f`` decreases
     without bound.  ``tol`` is read through ``pa._default_tol`` at ``x``,
     so ``c * f`` gets the verdict of ``f``.
     """
     gc = global_codiff(f, x)
     tol = _default_tol(gc.value, gc.hypo, gc.hyper, tol=tol)
-    a_values = min_norm_point(gc.hypo + gc.hyper[:, None])[0][:, 0]
-    cert = Certificate(point=gc.at, a_values=a_values, tol=tol, ray=_unbounded_ray(f))
+    points = min_norm_point(gc.hypo + gc.hyper[:, None])[0]
+    cert = Certificate(point=gc.at, points=points, tol=tol, ray=_unbounded_ray(f))
     return cert.is_global, cert
 
 
@@ -219,9 +233,9 @@ def classify_nonnegative(pieces: np.ndarray, tol: float | None = None) -> Nonneg
     """Classify ``f(x) = max_i (a_i + <v_i, x>)`` by its sign behaviour,
     the one-piece case of ``check_global_opt``, at the origin.
 
-    A bounded-below ``f`` is nonnegative iff the offset ``a0`` of the
-    minimum-norm point ``(a0, v0)`` of the piece hull is at least ``-tol``,
-    and otherwise ``v0 / a0`` witnesses a negative value; ``_unbounded_ray``
+    A bounded-below ``f`` is nonnegative iff the minimum-norm point
+    ``(a0, v0)`` of the piece hull is settled at ``tol`` (``_settled``), and
+    otherwise ``v0 / a0`` witnesses a value below ``-tol``; ``_unbounded_ray``
     decides boundedness, and its ray is the descent ``direction``.
     ``tol`` is read through ``pa._default_tol`` at the origin.
     """
@@ -233,7 +247,7 @@ def classify_nonnegative(pieces: np.ndarray, tol: float | None = None) -> Nonneg
     ray = _unbounded_ray(DCForm(pieces.shape[1] - 1, pieces, np.zeros((1, pieces.shape[1]))))
     if ray is not None:
         return NonnegativityVerdict("unbounded_below", a0, v0, direction=ray)
-    if a0 >= -tol:
+    if _settled(point[None], tol)[0]:
         return NonnegativityVerdict("nonnegative", a0, v0)
     return NonnegativityVerdict("attains_negative", a0, v0, witness=v0 / a0)
 
@@ -371,7 +385,7 @@ def _descend(method: str, f: DCForm, x0, tol: float | None, max_iter: int, step,
         points = min_norm_point(gc.hypo + gc.hyper[:, None])[0]
         if (move := step(gc, points, rec, run, tol_x)) is None or move[3] >= rec.f - tol_x:
             if run.ray is None:
-                run.certificate = Certificate(point=gc.at, a_values=points[:, 0], tol=tol_x)
+                run.certificate = Certificate(point=gc.at, points=points, tol=tol_x)
             break
         rec.chosen_j, rec.alpha, x, _ = move
     run.status = ("unbounded_below" if run.ray is not None else "iter_limit" if run.certificate is None
@@ -389,7 +403,7 @@ def mgcd_run(
 
     A function unbounded below returns its ray before the first step.
     Per iteration, every piece is projected in one stacked call; the
-    still-active ones are read: indices with ``a_j >= -tol`` are discarded
+    still-active ones are read: settled indices (``_settled``) are discarded
     permanently, and the step ``x + v_j / a_j`` of the best remaining index
     is taken (ties to the lowest index).  Once the active set is empty, or
     that step does not lower ``f`` by more than ``tol``, the run ends with
@@ -403,7 +417,7 @@ def mgcd_run(
 
     def step(gc: GlobalCodiff, points: np.ndarray, rec: IterationRecord, run: GlobalRun, tol: float):
         rec.projections = {j: points[j] for j in active}
-        rec.discarded += [j for j in active if points[j, 0] >= -tol]
+        rec.discarded += [j for j, done in zip(active, _settled(points[active], tol)) if done]
         active[:] = [j for j in active if j not in rec.discarded]
         trials = {j: rec.x + points[j, 1:] / points[j, 0] for j in active}
         moves = [(j, None, y, evaluate(f, y)) for j, y in trials.items()]
@@ -426,10 +440,10 @@ def mcd_run(
     global convergence).  Every candidate direction ``-v_j`` is line
     searched exactly and the best endpoint is taken; the run stops when it
     does not lower ``f`` by more than ``tol``.  With ``mu = inf`` the stall point
-    is a certified global minimum, unless ``tol = 0`` lets an ``a_j`` a few ulps
-    below zero fail the certificate there (the worked example from (2, 2)
-    ends ``inf_stationary`` at its minimum); with a finite ``mu`` it may be
-    merely inf-stationary, and the attached certificate distinguishes the two.
+    is a certified global minimum unless a piece is not settled there: at ``tol = 0``
+    an ``a_j`` a few ulps below zero (the worked example from (2, 2) ends
+    ``inf_stationary`` at its minimum), else one whose ``v_j``, no longer than ``tol``,
+    is not searched; with a finite ``mu`` it may be merely inf-stationary.
     As in ``mgcd_run``, a function unbounded below returns its ray before
     the first step; the line search reports any other unbounded ray.
     """
@@ -440,10 +454,9 @@ def mcd_run(
     def step(gc: GlobalCodiff, points: np.ndarray, rec: IterationRecord, run: GlobalRun, tol: float):
         cand = [j for j in range(s) if gc.hyper[j, 0] <= mu + tol]
         rec.projections = {j: points[j] for j in cand}
-        descent = any(points[j, 0] < -tol for j in cand)
-        # every piece a candidate and none descending certifies x as it stands
+        # every piece a candidate and all settled certifies x as it stands
         searches = {}
-        for j in cand if descent or len(cand) < s else []:
+        for j in cand if len(cand) < s or not _settled(points, tol).all() else []:
             vj = points[j, 1:]
             if (norm := math.hypot(*vj)) > tol:  # a shorter v_j is rounding, not a direction
                 searches[j] = line_search_pa(f, rec.x, vj)

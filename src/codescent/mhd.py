@@ -122,15 +122,17 @@ def armijo_step(
 
     ``fx`` must be ``f(x)``, which the caller has already computed.
     ``norm2`` must be the squared norm of the full minimum-norm element
-    ``(a, v)``, not just of ``v``.  Raises :class:`ArmijoFailure` when
-    ``k`` exceeds ``ARMIJO_MAX_K``, which signals a non-descent
-    direction and hence a broken hypodifferential oracle.
+    ``(a, v)``, not just of ``v``.  Raises :class:`ArmijoFailure` when ``k``
+    exceeds ``ARMIJO_MAX_K`` (a non-descent direction, hence a broken
+    hypodifferential oracle) or the demanded decrease underflows to 0.
     """
     if norm2 <= 0:
         raise ValueError("norm2 must be positive")
     alpha = 1.0
     for k in range(ARMIJO_MAX_K + 1):
-        if f.value(x - alpha * v) - fx <= -alpha * cfg.sigma * norm2:
+        if (demand := alpha * cfg.sigma * norm2) == 0:  # then a trial that does not move x would pass
+            raise ArmijoFailure(f"the decrease demanded at backtrack {k} underflows to 0")
+        if f.value(x - alpha * v) - fx <= -demand:
             return alpha, k
         alpha *= cfg.gamma
     raise ArmijoFailure(f"no acceptable step within {ARMIJO_MAX_K} backtracks")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from codescent import check_global_opt, pa, project_piece
+from codescent.mgcd import _settled
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +107,10 @@ def discard_violations(f, run):
 
 def explicit_step_value(f, rec, tol):
     """Best explicit-step value ``min_j f(x + v_j / a_j)`` at a run record,
-    over its projections with ``a_j < -tol``, or None if none descends:
-    what MGCD's step would reach from the same point."""
-    return min((pa.evaluate(f, rec.x + p[1:] / p[0]) for p in rec.projections.values() if p[0] < -tol),
-               default=None)
+    over its projections that are not settled at ``tol`` (MGCD's rule), or
+    None if none descends: what MGCD's step would reach from the same point."""
+    return min((pa.evaluate(f, rec.x + p[1:] / p[0]) for p in rec.projections.values()
+                if not _settled(p[None], tol)[0]), default=None)
 
 
 def assert_certificate_is_check_global_opts(f, run):
@@ -117,7 +118,7 @@ def assert_certificate_is_check_global_opts(f, run):
     point: the same projections bit for bit, read at the same tol to the
     same verdict."""
     ok, cert = check_global_opt(f, run.final_x)
-    assert run.certificate.a_values.tobytes() == cert.a_values.tobytes()
+    assert run.certificate.points.tobytes() == cert.points.tobytes()
     assert (run.certificate.tol, run.certificate.is_global) == (cert.tol, ok)
 
 
